@@ -43,7 +43,7 @@ const PODS_PER_NODE: usize = 8;
 const TARGET_POINTS: usize = 240_000;
 const REPS: usize = 3;
 /// Frames a writer buffers before flushing them through
-/// `insert_batches` — the orchestrator's coalescing flush size.
+/// `insert_batches`.
 const FLUSH_FRAMES: usize = 32;
 
 fn passes_for(nodes: usize) -> usize {
@@ -135,10 +135,9 @@ fn run_batched(db: &ShardedDatabase, nodes: usize, passes: usize, writers: usize
     });
 }
 
-/// Coalesced transport — the orchestrator's `probe_pass_concurrent`
-/// shape: producers accumulate each writer's frames locally and ship
-/// them in runs (the orchestrator sends one message per node), writers
-/// coalesce arriving runs into a writer-local buffer flushed through
+/// Coalesced transport: producers accumulate each writer's frames
+/// locally and ship them in runs, and writers coalesce arriving runs
+/// into a writer-local buffer flushed through
 /// [`ShardedDatabase::insert_batches`]. Channel traffic drops by the run
 /// length, and each shard's registry guard is taken once per flush
 /// instead of once per frame. Frames cover scrape passes

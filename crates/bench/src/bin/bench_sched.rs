@@ -4,32 +4,30 @@
 //! Two axes are measured per size:
 //!
 //! * `capture` — snapshot captures/sec with ~8 nodes receiving probe
-//!   frames between captures, full rebuild
-//!   (`incremental_snapshots = false`) vs incrementally maintained
-//!   (`true`). The incremental path refreshes only the dirty/in-window
-//!   nodes and structurally shares the rest, so it should scale with
-//!   the number of *active* nodes, not the cluster size.
+//!   frames between captures: the from-scratch Listing-1 oracle
+//!   ([`ClusterSnapshot::capture`] plus the staleness stamp) vs the
+//!   orchestrator's incrementally maintained snapshot. The incremental
+//!   path refreshes only the dirty/in-window nodes and structurally
+//!   shares the rest, so it should scale with the number of *active*
+//!   nodes, not the cluster size.
 //! * `bind` — pods bound/sec for one scheduler pass over 64 small SGX
-//!   pods, under three configurations: full capture + 100% of nodes
-//!   scored (the seed behaviour), incremental + 100%, and incremental +
-//!   adaptive sampling (the kube `max(5, 50 - nodes/125)` percentage).
+//!   pods, with 100% of nodes scored and with adaptive sampling (the
+//!   kube `max(5, 50 - nodes/125)` percentage). Only the pass itself is
+//!   timed: cluster construction, the priming capture and submission
+//!   stay outside the clock.
 //!
-//! Prints a JSON document (see `BENCH_sched.json` at the repo root for
-//! a recorded run) to stdout:
+//! Prints a JSON document with its host provenance (see
+//! `BENCH_sched.json` at the repo root for a recorded run) to stdout:
 //!
 //! ```sh
 //! cargo run --release -p bench --bin bench_sched > BENCH_sched.json
 //! ```
 //!
 //! `--smoke` runs a reduced sweep (5/100 nodes, 1 rep) and asserts the
-//! invariants CI cares about: the incremental snapshot equals the full
-//! rebuild bit for bit, the 100%-sampling bind outcomes are identical
-//! with and without incremental snapshots, and every bind rate is
-//! positive.
+//! invariants CI cares about: the incremental snapshot equals the
+//! Listing-1 oracle bit for bit, and every bind rate is positive.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use cluster::api::PodSpec;
 use cluster::machine::MachineSpec;
@@ -37,7 +35,7 @@ use cluster::node::NodeRole;
 use cluster::probe::MEASUREMENT_EPC;
 use cluster::topology::ClusterSpec;
 use des::{SimDuration, SimTime};
-use orchestrator::{Orchestrator, OrchestratorConfig, SGX_BINPACK};
+use orchestrator::{ClusterSnapshot, Orchestrator, OrchestratorConfig, SGX_BINPACK};
 use sgx_sim::units::ByteSize;
 use tsdb::PointBatch;
 
@@ -65,11 +63,19 @@ fn build_orchestrator(nodes: usize, config: OrchestratorConfig) -> Orchestrator 
     Orchestrator::new(spec, config)
 }
 
-fn config(incremental: bool, adaptive: bool) -> OrchestratorConfig {
+fn config(adaptive: bool) -> OrchestratorConfig {
     OrchestratorConfig::paper()
         .with_default_scheduler(SGX_BINPACK)
-        .with_incremental_snapshots(incremental)
         .with_adaptive_percentage_of_nodes_to_score(adaptive)
+}
+
+/// The from-scratch capture the incremental snapshot must equal: the
+/// literal Listing-1 grouped queries plus the staleness stamp.
+fn oracle_capture(orch: &Orchestrator, now: SimTime) -> ClusterSnapshot {
+    ClusterSnapshot::capture(orch.cluster(), orch.db(), now, orch.config().metrics_window)
+        .with_staleness(orch.config().staleness_threshold, |name| {
+            orch.metrics_age(name, now)
+        })
 }
 
 /// The frame node `node` emits at capture pass `pass`.
@@ -85,31 +91,20 @@ fn frame_for(node: usize, pass: usize, now: SimTime) -> PointBatch {
     batch
 }
 
-/// Best-of-`reps` throughput in items/sec; `run` returns items moved.
-fn measure(reps: usize, mut run: impl FnMut() -> usize) -> f64 {
-    let mut best = f64::MIN;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let items = run();
-        let rate = items as f64 / start.elapsed().as_secs_f64();
-        best = best.max(rate);
-    }
-    best
-}
-
 /// Captures/sec with `ACTIVE_NODES` nodes ingesting one frame between
-/// consecutive captures. Cluster construction, cache priming, and the
-/// (variant-independent) ingest work stay outside the clock: only the
-/// `capture_snapshot` calls themselves are timed.
-fn run_captures(nodes: usize, incremental: bool, passes: usize, reps: usize) -> f64 {
+/// consecutive captures, through the oracle (`oracle == true`) or the
+/// incremental snapshot. Cluster construction, the priming capture, and
+/// the (variant-independent) ingest work stay outside the clock: only
+/// the captures themselves are timed.
+fn run_captures(nodes: usize, oracle: bool, passes: usize, reps: usize) -> f64 {
     let mut best = f64::MIN;
     for _ in 0..reps {
-        let mut orch = build_orchestrator(nodes, config(incremental, false));
-        // Prime the cache so the timed captures measure steady-state
-        // refreshes, not the first (necessarily full) build.
+        let mut orch = build_orchestrator(nodes, config(false));
+        // Prime the snapshot so the timed captures measure steady-state
+        // refreshes, not the first (cold) build.
         let _ = orch.capture_snapshot(SimTime::from_secs(1));
         let active = ACTIVE_NODES.min(nodes);
-        let mut timed = std::time::Duration::ZERO;
+        let mut timed = Duration::ZERO;
         for pass in 0..passes {
             let now = SimTime::from_secs(10 * (pass as u64 + 1));
             for node in 0..active {
@@ -117,7 +112,11 @@ fn run_captures(nodes: usize, incremental: bool, passes: usize, reps: usize) -> 
                 orch.ingest_frame(&name, &frame_for(node, pass, now), now);
             }
             let start = Instant::now();
-            let snapshot = orch.capture_snapshot(now);
+            let snapshot = if oracle {
+                oracle_capture(&orch, now)
+            } else {
+                orch.capture_snapshot(now)
+            };
             timed += start.elapsed();
             assert_eq!(snapshot.nodes().len(), nodes);
         }
@@ -126,13 +125,12 @@ fn run_captures(nodes: usize, incremental: bool, passes: usize, reps: usize) -> 
     best
 }
 
-/// Pods bound/sec for one scheduler pass over `PODS_PER_PASS` pods.
-/// Returns (rate, digest-of-outcomes) so smoke mode can compare the
-/// full and incremental variants decision for decision.
-fn run_bind(nodes: usize, incremental: bool, adaptive: bool, reps: usize) -> (f64, u64) {
-    let mut digest = 0u64;
-    let rate = measure(reps, || {
-        let mut orch = build_orchestrator(nodes, config(incremental, adaptive));
+/// Best-of-`reps` pods bound/sec for one scheduler pass over
+/// `PODS_PER_PASS` pods. Only `scheduler_pass` is timed.
+fn run_bind(nodes: usize, adaptive: bool, reps: usize) -> f64 {
+    let mut best = f64::MIN;
+    for _ in 0..reps {
+        let mut orch = build_orchestrator(nodes, config(adaptive));
         let _ = orch.capture_snapshot(SimTime::from_secs(1));
         for i in 0..PODS_PER_PASS {
             orch.submit(
@@ -143,51 +141,59 @@ fn run_bind(nodes: usize, incremental: bool, adaptive: bool, reps: usize) -> (f6
                 SimTime::from_secs(2),
             );
         }
-        let start = SimTime::from_secs(5);
-        let outcomes = orch.scheduler_pass(start);
+        let start = Instant::now();
+        let outcomes = orch.scheduler_pass(SimTime::from_secs(5));
+        let elapsed = start.elapsed();
         assert_eq!(outcomes.len(), PODS_PER_PASS);
         let bound = outcomes.iter().filter(|o| o.report.started()).count();
         assert_eq!(bound, PODS_PER_PASS, "every 1 MiB pod should bind");
-        let mut hasher = DefaultHasher::new();
-        for outcome in &outcomes {
-            format!("{:?}", outcome.report).hash(&mut hasher);
-        }
-        digest = hasher.finish();
-        bound
-    });
-    (rate, digest)
+        best = best.max(bound as f64 / elapsed.as_secs_f64());
+    }
+    best
 }
 
-/// Smoke-only: the incremental snapshot must equal a full rebuild after
-/// frames, binds, and a pod completion.
+/// Smoke-only: the incremental snapshot must equal the Listing-1 oracle
+/// after frames, binds, and a pod completion.
 fn assert_snapshot_equivalence(nodes: usize) {
-    let mut incr = build_orchestrator(nodes, config(true, false));
-    let mut full = build_orchestrator(nodes, config(false, false));
-    for orch in [&mut incr, &mut full] {
-        let _ = orch.capture_snapshot(SimTime::from_secs(1));
-        let uid = orch.submit(
-            PodSpec::builder("smoke-pod")
-                .sgx_resources(ByteSize::from_mib(4))
-                .duration(SimDuration::from_secs(3_600))
-                .build(),
-            SimTime::from_secs(2),
-        );
-        let outcomes = orch.scheduler_pass(SimTime::from_secs(5));
-        assert!(outcomes[0].report.started());
-        let now = SimTime::from_secs(20);
-        for node in 0..ACTIVE_NODES.min(nodes) {
-            let name = cluster::api::NodeName::new(node_name(node));
-            orch.ingest_frame(&name, &frame_for(node, 0, now), now);
-        }
-        orch.complete_pod(uid, SimTime::from_secs(30))
-            .expect("pod completes");
+    let mut orch = build_orchestrator(nodes, config(false));
+    let _ = orch.capture_snapshot(SimTime::from_secs(1));
+    let uid = orch.submit(
+        PodSpec::builder("smoke-pod")
+            .sgx_resources(ByteSize::from_mib(4))
+            .duration(SimDuration::from_secs(3_600))
+            .build(),
+        SimTime::from_secs(2),
+    );
+    let outcomes = orch.scheduler_pass(SimTime::from_secs(5));
+    assert!(outcomes[0].report.started());
+    let now = SimTime::from_secs(20);
+    for node in 0..ACTIVE_NODES.min(nodes) {
+        let name = cluster::api::NodeName::new(node_name(node));
+        orch.ingest_frame(&name, &frame_for(node, 0, now), now);
     }
+    orch.complete_pod(uid, SimTime::from_secs(30))
+        .expect("pod completes");
     let now = SimTime::from_secs(35);
     assert_eq!(
-        incr.capture_snapshot(now),
-        full.capture_snapshot(now),
-        "incremental snapshot must equal a full rebuild at {nodes} nodes"
+        orch.capture_snapshot(now),
+        oracle_capture(&orch, now),
+        "incremental snapshot must equal the Listing-1 oracle at {nodes} nodes"
     );
+}
+
+/// One line of output from `program args`, or `"unknown"`.
+fn command_line(program: &str, args: &[&str]) -> String {
+    std::process::Command::new(program)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| {
+            String::from_utf8(out.stdout)
+                .ok()
+                .and_then(|s| s.lines().next().map(str::to_string))
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn main() {
@@ -199,24 +205,19 @@ fn main() {
     };
     let mut rows = Vec::new();
     for &nodes in sizes {
-        let full_captures = run_captures(nodes, false, passes, reps);
-        let incr_captures = run_captures(nodes, true, passes, reps);
-        let (bind_full, digest_full) = run_bind(nodes, false, false, reps);
-        let (bind_incr, digest_incr) = run_bind(nodes, true, false, reps);
-        let (bind_adaptive, _) = run_bind(nodes, true, true, reps);
+        let full_captures = run_captures(nodes, true, passes, reps);
+        let incr_captures = run_captures(nodes, false, passes, reps);
+        let bind_full = run_bind(nodes, false, reps);
+        let bind_adaptive = run_bind(nodes, true, reps);
         if smoke {
             assert_snapshot_equivalence(nodes);
-            assert_eq!(
-                digest_full, digest_incr,
-                "100%-sampling bind outcomes must not depend on the snapshot strategy"
-            );
-            assert!(bind_full > 0.0 && bind_incr > 0.0 && bind_adaptive > 0.0);
-            eprintln!("smoke nodes={nodes}: snapshot + outcome equivalence OK");
+            assert!(bind_full > 0.0 && bind_adaptive > 0.0);
+            eprintln!("smoke nodes={nodes}: incremental snapshot equals the Listing-1 oracle");
         }
         eprintln!(
-            "nodes={nodes}: captures full {full_captures:.0}/s, incr {incr_captures:.0}/s \
-             ({:.2}x); bind full/100 {bind_full:.0} pods/s, incr/100 {bind_incr:.0} pods/s, \
-             incr/adaptive {bind_adaptive:.0} pods/s ({:.2}x)",
+            "nodes={nodes}: captures oracle {full_captures:.0}/s, incr {incr_captures:.0}/s \
+             ({:.2}x); bind 100% {bind_full:.0} pods/s, adaptive {bind_adaptive:.0} pods/s \
+             ({:.2}x)",
             incr_captures / full_captures,
             bind_adaptive / bind_full
         );
@@ -226,9 +227,8 @@ fn main() {
                 "\"full_captures_per_sec\": {:.1}, ",
                 "\"incremental_captures_per_sec\": {:.1}, ",
                 "\"capture_speedup\": {:.2}, ",
-                "\"bind_full_100_pods_per_sec\": {:.0}, ",
-                "\"bind_incremental_100_pods_per_sec\": {:.0}, ",
-                "\"bind_incremental_adaptive_pods_per_sec\": {:.0}, ",
+                "\"bind_100_pods_per_sec\": {:.0}, ",
+                "\"bind_adaptive_pods_per_sec\": {:.0}, ",
                 "\"adaptive_speedup\": {:.2}}}"
             ),
             nodes,
@@ -236,13 +236,22 @@ fn main() {
             incr_captures,
             incr_captures / full_captures,
             bind_full,
-            bind_incr,
             bind_adaptive,
             bind_adaptive / bind_full
         ));
     }
+    let cores = std::thread::available_parallelism().map_or(0, usize::from);
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let commit = command_line("git", &["describe", "--always", "--dirty", "--abbrev=40"]);
     println!("{{");
     println!("  \"benchmark\": \"scheduler_pass_throughput\",");
+    println!(
+        "  \"provenance\": {{\"nproc\": {cores}, \"profile\": \"{profile}\", \"commit\": \"{commit}\"}},"
+    );
     println!("  \"pods_per_pass\": {PODS_PER_PASS},");
     println!("  \"active_nodes_between_captures\": {ACTIVE_NODES},");
     println!("  \"capture_passes\": {passes},");

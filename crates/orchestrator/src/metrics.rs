@@ -1,12 +1,13 @@
 //! The scheduler's window onto cluster state.
 //!
-//! A [`ClusterView`] snapshot combines, per node:
+//! A [`NodeView`] combines, per node:
 //!
 //! * static capacity (allocatable memory; EPC pages from the device
 //!   plugin),
 //! * *requests* accounting (what bound pods reserved), and
 //! * *measured* usage from the time-series database over the paper's 25 s
-//!   sliding window (Listing 1 for EPC; the analogous query for memory).
+//!   sliding window (Listing 1 for EPC; the analogous query for memory),
+//!   computed per node by an incremental fold over that node's series.
 //!
 //! The SGX-aware schedulers treat a node's occupancy as the **maximum of
 //! measured usage and reserved requests**: requests protect very recent
@@ -27,11 +28,9 @@
 use std::collections::BTreeMap;
 
 use cluster::api::{NodeName, PodSpec};
-use cluster::probe::{MEASUREMENT_EPC, MEASUREMENT_MEMORY};
-use cluster::topology::Cluster;
 use des::{SimDuration, SimTime};
 use sgx_sim::units::{ByteSize, EpcPages};
-use tsdb::{Aggregate, Predicate, Row, Select, SeriesStore, TimeBound, WindowedCache};
+use tsdb::SeriesStore;
 
 /// Capacity and occupancy of one node, as the scheduler sees it.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -54,11 +53,10 @@ pub struct NodeView {
     /// node's measurements can no longer be trusted and occupancy falls
     /// back to requests-only accounting.
     pub degraded: bool,
-    /// `true` while the node is cordoned (e.g. mid-drain). A
-    /// [`ClusterView`] only ever captures schedulable nodes, so the flag
-    /// stays `false` there; [`ClusterSnapshot`](crate::ClusterSnapshot)s
-    /// capture cordoned workers too and rely on the cordon filter plugin
-    /// to keep placements off them.
+    /// `true` while the node is cordoned (e.g. mid-drain).
+    /// [`ClusterSnapshot`](crate::ClusterSnapshot)s capture cordoned
+    /// workers too and rely on the cordon filter plugin to keep
+    /// placements off them.
     pub cordoned: bool,
 }
 
@@ -154,237 +152,84 @@ impl NodeView {
     }
 }
 
-/// Snapshot of every schedulable node, taken once per scheduling pass.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ClusterView {
-    nodes: BTreeMap<NodeName, NodeView>,
-}
-
-impl ClusterView {
-    /// Builds the view: capacities and requests from the cluster, measured
-    /// usage from sliding-window queries against the database — any
-    /// [`SeriesStore`], the single-writer `Database` or the sharded
-    /// concurrent one.
-    pub fn capture<S: SeriesStore + ?Sized>(
-        cluster: &Cluster,
-        db: &S,
-        now: SimTime,
-        window: SimDuration,
-    ) -> Self {
-        Self::capture_with(cluster, now, window, &mut |select, now| {
-            db.query(select, now)
-        })
-    }
-
-    /// Like [`capture`](Self::capture), but runs the Listing-1 queries
-    /// through a [`WindowedCache`], so a scheduling tick only pays for the
-    /// samples that entered or left the 25 s window since the previous
-    /// tick. Results are bit-for-bit identical to [`capture`](Self::capture).
-    pub fn capture_cached<S: SeriesStore + ?Sized>(
-        cluster: &Cluster,
-        db: &S,
-        cache: &mut WindowedCache,
-        now: SimTime,
-        window: SimDuration,
-    ) -> Self {
-        Self::capture_with(cluster, now, window, &mut |select, now| {
-            cache.query(db, select, now)
-        })
-    }
-
-    fn capture_with(
-        cluster: &Cluster,
-        now: SimTime,
-        window: SimDuration,
-        run_query: &mut dyn FnMut(&Select, SimTime) -> Vec<Row>,
-    ) -> Self {
-        let epc_measured = Self::measured(MEASUREMENT_EPC, now, window, run_query);
-        let mem_measured = Self::measured(MEASUREMENT_MEMORY, now, window, run_query);
-
-        let nodes = cluster
-            .schedulable_nodes()
-            .map(|node| {
-                let name = node.name().clone();
-                let view = NodeView {
-                    memory_capacity: node.allocatable_memory(),
-                    epc_capacity: node.allocatable_epc(),
-                    memory_requested: node.memory_requested(),
-                    epc_requested: node.epc_requested(),
-                    memory_measured: mem_measured
-                        .get(name.as_str())
-                        .copied()
-                        .unwrap_or(ByteSize::ZERO),
-                    epc_measured: epc_measured
-                        .get(name.as_str())
-                        .copied()
-                        .unwrap_or(ByteSize::ZERO),
-                    metrics_age: None,
-                    degraded: false,
-                    cordoned: false,
-                };
-                (name, view)
-            })
-            .collect();
-        ClusterView { nodes }
-    }
-
-    /// Executes the Listing 1 aggregation for one measurement: per-pod MAX
-    /// over the window, summed per node. Shared with
-    /// [`ClusterSnapshot`](crate::ClusterSnapshot) capture so both read
-    /// paths run bit-identical queries.
-    pub(crate) fn measured(
-        measurement: &str,
-        now: SimTime,
-        window: SimDuration,
-        run_query: &mut dyn FnMut(&Select, SimTime) -> Vec<Row>,
-    ) -> BTreeMap<String, ByteSize> {
-        let per_pod = Select::from_measurement(measurement)
-            .aggregate(Aggregate::Max)
-            .filter(Predicate::ValueNe(0.0))
-            .filter(Predicate::TimeAtLeast(TimeBound::SinceNowMinus(window)))
-            .group_by(["pod_name", "nodename"]);
-        let per_node = Select::from_subquery(per_pod)
-            .aggregate(Aggregate::Sum)
-            .group_by(["nodename"]);
-        run_query(&per_node, now)
-            .into_iter()
-            .filter_map(|row| {
-                let node = row.tag("nodename")?.to_string();
-                Some((node, ByteSize::from_bytes(row.value.max(0.0) as u64)))
-            })
-            .collect()
-    }
-
-    /// Recomputes one node's Listing-1 value — per-pod MAX over the
-    /// window filtered `value <> 0`, summed per node — by folding only
-    /// that node's series, located with a tag-range scan instead of the
-    /// global grouped query. This is the per-node refresh step of
-    /// incremental snapshot maintenance.
-    ///
-    /// Bit-for-bit identical to what [`measured`](Self::measured) yields
-    /// for the node, because it replicates the engine's fold exactly:
-    /// the window admits `time >= now - window` (saturating, no upper
-    /// bound), the per-pod MAX starts at `f64::MIN`, a pod with no
-    /// admitted samples produces no row, the per-node SUM starts at
-    /// `0.0` and folds pods in projected-tag-set order (a series without
-    /// a `pod_name` tag projects onto the bare node group, which sorts
-    /// first), and the final conversion clamps at zero. MAX is
-    /// order-insensitive over the finite values the store admits, and
-    /// the SUM order here matches the global query's row order because
-    /// one node's inner rows are contiguous and pod-ordered in it.
-    pub(crate) fn measured_node<S: SeriesStore + ?Sized>(
-        db: &S,
-        measurement: &str,
-        node: &NodeName,
-        now: SimTime,
-        window: SimDuration,
-    ) -> ByteSize {
-        let lo = SimTime::from_micros(now.as_micros().saturating_sub(window.as_micros()));
-        let mut per_pod: BTreeMap<Option<String>, f64> = BTreeMap::new();
-        db.for_each_series_with_first_tag(measurement, "nodename", node.as_str(), &mut |series| {
-            let start = series.samples.partition_point(|&(t, _)| t < lo);
-            let mut acc = f64::MIN;
-            let mut admitted = false;
-            for &(_, value) in &series.samples[start..] {
-                if value != 0.0 {
-                    acc = acc.max(value);
-                    admitted = true;
-                }
+/// Recomputes one node's Listing-1 value — per-pod MAX over the window
+/// filtered `value <> 0`, summed per node — by folding only that node's
+/// series, located with a tag-range scan instead of the global grouped
+/// query. This is the per-node refresh step of snapshot maintenance.
+///
+/// Bit-for-bit identical to what the grouped query behind
+/// [`ClusterSnapshot::capture`](crate::ClusterSnapshot::capture) yields
+/// for the node, because it replicates the engine's fold exactly: the
+/// window admits `time >= now - window` (saturating, no upper bound),
+/// the per-pod MAX starts at `f64::MIN`, a pod with no admitted samples
+/// produces no row, the per-node SUM starts at `0.0` and folds pods in
+/// projected-tag-set order (a series without a `pod_name` tag projects
+/// onto the bare node group, which sorts first), and the final
+/// conversion clamps at zero. MAX is order-insensitive over the finite
+/// values the store admits, and the SUM order here matches the global
+/// query's row order because one node's inner rows are contiguous and
+/// pod-ordered in it.
+pub(crate) fn measured_node<S: SeriesStore + ?Sized>(
+    db: &S,
+    measurement: &str,
+    node: &NodeName,
+    now: SimTime,
+    window: SimDuration,
+) -> ByteSize {
+    let lo = SimTime::from_micros(now.as_micros().saturating_sub(window.as_micros()));
+    let mut per_pod: BTreeMap<Option<String>, f64> = BTreeMap::new();
+    db.for_each_series_with_first_tag(measurement, "nodename", node.as_str(), &mut |series| {
+        let start = series.samples.partition_point(|&(t, _)| t < lo);
+        let mut acc = f64::MIN;
+        let mut admitted = false;
+        for &(_, value) in &series.samples[start..] {
+            if value != 0.0 {
+                acc = acc.max(value);
+                admitted = true;
             }
-            if admitted {
-                let slot = per_pod
-                    .entry(series.tags.get("pod_name").cloned())
-                    .or_insert(f64::MIN);
-                *slot = slot.max(acc);
-            }
-        });
-        if per_pod.is_empty() {
-            return ByteSize::ZERO;
         }
-        let mut total = 0.0;
-        for max in per_pod.values() {
-            total += max;
+        if admitted {
+            let slot = per_pod
+                .entry(series.tags.get("pod_name").cloned())
+                .or_insert(f64::MIN);
+            *slot = slot.max(acc);
         }
-        ByteSize::from_bytes(total.max(0.0) as u64)
+    });
+    if per_pod.is_empty() {
+        return ByteSize::ZERO;
     }
-
-    /// Stamps every node with the age of its last delivered scrape and
-    /// marks nodes whose age exceeds `threshold` as degraded. A node that
-    /// was never scraped (`age_of` returns `None`) keeps `metrics_age ==
-    /// None` and stays fresh: before the first probe tick nothing has
-    /// been measured anywhere, so there is no staleness to distrust.
-    pub fn annotate_staleness(
-        &mut self,
-        threshold: SimDuration,
-        mut age_of: impl FnMut(&NodeName) -> Option<SimDuration>,
-    ) {
-        for (name, view) in self.nodes.iter_mut() {
-            let age = age_of(name);
-            view.metrics_age = age;
-            view.degraded = age.is_some_and(|a| a > threshold);
-        }
+    let mut total = 0.0;
+    for max in per_pod.values() {
+        total += max;
     }
-
-    /// The per-node views, in node-name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&NodeName, &NodeView)> {
-        self.nodes.iter()
-    }
-
-    /// One node's view.
-    pub fn node(&self, name: &NodeName) -> Option<&NodeView> {
-        self.nodes.get(name)
-    }
-
-    /// One node's view, mutably (for in-pass reservations).
-    pub fn node_mut(&mut self, name: &NodeName) -> Option<&mut NodeView> {
-        self.nodes.get_mut(name)
-    }
-
-    /// The whole node map, mutably — the orchestrator's shared staleness
-    /// stamping walks it in place.
-    pub(crate) fn nodes_mut(&mut self) -> &mut BTreeMap<NodeName, NodeView> {
-        &mut self.nodes
-    }
-
-    /// Number of nodes in the view.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` when no nodes are schedulable.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// `true` when no node could *ever* fit the pod's requests, even
-    /// completely empty — such pods are permanently unschedulable.
-    pub fn permanently_unschedulable(&self, spec: &PodSpec) -> bool {
-        let req = spec.resources.requests;
-        !self.nodes.values().any(|v| {
-            req.memory <= v.memory_capacity
-                && req.epc_pages <= v.epc_capacity
-                && (!req.needs_sgx() || v.has_sgx())
-        })
-    }
+    ByteSize::from_bytes(total.max(0.0) as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Orchestrator, OrchestratorConfig, PodOutcome};
     use cluster::api::PodUid;
+    use cluster::probe::MEASUREMENT_EPC;
     use cluster::topology::ClusterSpec;
     use des::rng::seeded_rng;
-    use tsdb::{Database, Point};
+    use tsdb::PointBatch;
 
-    fn paper_view(db: &Database, cluster: &Cluster, now: SimTime) -> ClusterView {
-        ClusterView::capture(cluster, db, now, SimDuration::from_secs(25))
+    fn paper_orchestrator() -> Orchestrator {
+        Orchestrator::new(ClusterSpec::paper_cluster(), OrchestratorConfig::paper())
+    }
+
+    /// A one-pod EPC frame from `node`, sampled at `secs`.
+    fn epc_frame(node: &str, pod: &str, secs: u64, value: f64) -> PointBatch {
+        let mut batch = PointBatch::new(MEASUREMENT_EPC, "pod_name", SimTime::from_secs(secs))
+            .with_shared_tag("nodename", node);
+        batch.push(pod, value);
+        batch
     }
 
     #[test]
     fn capture_reads_capacities() {
-        let cluster = Cluster::build(&ClusterSpec::paper_cluster());
-        let db = Database::new();
-        let view = paper_view(&db, &cluster, SimTime::ZERO);
+        let view = paper_orchestrator().capture_snapshot(SimTime::ZERO);
         assert_eq!(view.len(), 4);
         let sgx = view.node(&NodeName::new("sgx-1")).unwrap();
         assert!(sgx.has_sgx());
@@ -397,20 +242,20 @@ mod tests {
 
     #[test]
     fn measured_usage_flows_from_db() {
-        let cluster = Cluster::build(&ClusterSpec::paper_cluster());
-        let mut db = Database::new();
-        db.insert(
-            Point::new(MEASUREMENT_EPC, SimTime::from_secs(90), 1e6)
-                .with_tag("pod_name", "pod-1")
-                .with_tag("nodename", "sgx-1"),
-        );
+        let mut orch = paper_orchestrator();
+        let sgx1 = NodeName::new("sgx-1");
         // A stale point outside the window must be ignored.
-        db.insert(
-            Point::new(MEASUREMENT_EPC, SimTime::from_secs(10), 5e7)
-                .with_tag("pod_name", "pod-0")
-                .with_tag("nodename", "sgx-1"),
+        orch.ingest_frame(
+            &sgx1,
+            &epc_frame("sgx-1", "pod-0", 10, 5e7),
+            SimTime::from_secs(10),
         );
-        let view = paper_view(&db, &cluster, SimTime::from_secs(100));
+        orch.ingest_frame(
+            &sgx1,
+            &epc_frame("sgx-1", "pod-1", 90, 1e6),
+            SimTime::from_secs(90),
+        );
+        let view = orch.capture_snapshot(SimTime::from_secs(100));
         let sgx = view.node(&NodeName::new("sgx-1")).unwrap();
         assert_eq!(sgx.epc_measured, ByteSize::from_bytes(1_000_000));
         assert_eq!(
@@ -457,16 +302,23 @@ mod tests {
 
     #[test]
     fn annotate_staleness_marks_old_nodes_degraded() {
-        let cluster = Cluster::build(&ClusterSpec::paper_cluster());
-        let db = Database::new();
-        let mut view = paper_view(&db, &cluster, SimTime::from_secs(100));
-        let threshold = SimDuration::from_secs(30);
-        view.annotate_staleness(threshold, |name| match name.as_str() {
-            "sgx-1" => Some(SimDuration::from_secs(45)), // stale
-            "sgx-2" => Some(SimDuration::from_secs(30)), // exactly at threshold
-            "std-1" => Some(SimDuration::from_secs(10)), // fresh
-            _ => None,                                   // never scraped
-        });
+        let mut orch = paper_orchestrator();
+        assert_eq!(
+            orch.config().staleness_threshold,
+            SimDuration::from_secs(30)
+        );
+        for (name, scraped) in [
+            ("sgx-1", 55), // 45 s old at t=100: stale
+            ("sgx-2", 70), // exactly at threshold
+            ("std-1", 90), // fresh
+        ] {
+            // Empty frames: a delivered scrape of an idle node.
+            let frame = PointBatch::new(MEASUREMENT_EPC, "pod_name", SimTime::from_secs(scraped))
+                .with_shared_tag("nodename", name);
+            orch.ingest_frame(&NodeName::new(name), &frame, SimTime::from_secs(scraped));
+        }
+        // std-2 is never scraped.
+        let view = orch.capture_snapshot(SimTime::from_secs(100));
         let sgx1 = view.node(&NodeName::new("sgx-1")).unwrap();
         assert!(sgx1.degraded);
         assert_eq!(sgx1.metrics_age, Some(SimDuration::from_secs(45)));
@@ -540,23 +392,25 @@ mod tests {
 
     #[test]
     fn unschedulable_detection() {
-        let cluster = Cluster::build(&ClusterSpec::paper_cluster());
-        let db = Database::new();
-        let view = paper_view(&db, &cluster, SimTime::ZERO);
+        let mut orch = paper_orchestrator();
+        let mut unschedulable = |spec: PodSpec| {
+            let uid = orch.submit(spec, SimTime::ZERO);
+            orch.record(uid).unwrap().outcome == PodOutcome::Unschedulable
+        };
         // 100 MiB of EPC fits nowhere (capacity 93.5 MiB per node).
         let monster = PodSpec::builder("m")
             .sgx_resources(ByteSize::from_mib(100))
             .build();
-        assert!(view.permanently_unschedulable(&monster));
+        assert!(unschedulable(monster));
         let ok = PodSpec::builder("ok")
             .sgx_resources(ByteSize::from_mib(50))
             .build();
-        assert!(!view.permanently_unschedulable(&ok));
+        assert!(!unschedulable(ok));
         // A 100 GiB memory pod exceeds every node.
         let huge_mem = PodSpec::builder("h")
             .memory_resources(ByteSize::from_gib(100))
             .build();
-        assert!(view.permanently_unschedulable(&huge_mem));
+        assert!(unschedulable(huge_mem));
     }
 
     // Keep rand linked for the dev-dependency graph.

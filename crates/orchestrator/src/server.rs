@@ -9,18 +9,18 @@ use serde::{Deserialize, Serialize};
 
 use cluster::api::{NodeName, PodSpec, PodUid};
 use cluster::machine::MachineSpec;
-use cluster::node::{Node, NodeRole, PodStartReport};
+use cluster::node::{NodeRole, PodStartReport};
 use cluster::probe::{Probe, MEASUREMENT_EPC, MEASUREMENT_MEMORY};
 use cluster::topology::{Cluster, ClusterSpec};
 use cluster::ClusterError;
 use des::rng::{derive_seed, seeded_rng};
 use des::{SimDuration, SimTime};
 use sgx_sim::units::{ByteSize, EpcPages};
-use tsdb::{PointBatch, ShardedDatabase, WindowedCache};
+use tsdb::{PointBatch, ShardedDatabase};
 
 use crate::events::{EventKind, EventLog};
 use crate::framework::{PlacementOptions, PolicyPipeline, SchedulingCycle};
-use crate::metrics::{ClusterView, NodeView};
+use crate::metrics::{measured_node, NodeView};
 use crate::policy::{CordonFilter, EpcFitFilter, SgxCapableFilter};
 use crate::queue::PendingQueue;
 use crate::registry::{PolicyRegistry, SGX_BINPACK};
@@ -37,7 +37,10 @@ pub struct OrchestratorConfig {
     pub scheduler_period: SimDuration,
     /// How often the probes scrape the nodes.
     pub probe_period: SimDuration,
-    /// Retention of the time-series database.
+    /// Retention of the time-series database. Must be at least
+    /// `metrics_window` ([`Orchestrator::new`] panics otherwise): the
+    /// incremental snapshot refresh assumes retention never evicts a
+    /// sample the window still covers.
     pub retention: SimDuration,
     /// Number of independently locked shards the ingestion database is
     /// split into (≥ 1; 1 behaves exactly like the unsharded store).
@@ -48,12 +51,6 @@ pub struct OrchestratorConfig {
     pub staleness_threshold: SimDuration,
     /// Base seed for the startup-cost jitter stream.
     pub seed: u64,
-    /// Maintain the per-pass [`ClusterSnapshot`] incrementally: refresh
-    /// only nodes whose cluster state or in-window samples changed since
-    /// the previous pass, structurally sharing the rest. Bit-identical
-    /// to re-capturing from scratch; `false` forces full captures.
-    #[serde(default = "default_incremental_snapshots")]
-    pub incremental_snapshots: bool,
     /// Percentage of nodes a placement keeps as feasible candidates
     /// (1–100). At 100 every feasible node is scored — the exhaustive
     /// kube-scheduler-style pass.
@@ -69,10 +66,6 @@ pub struct OrchestratorConfig {
     /// independent).
     #[serde(default = "default_score_threads")]
     pub score_threads: usize,
-}
-
-fn default_incremental_snapshots() -> bool {
-    true
 }
 
 fn default_percentage_of_nodes_to_score() -> u8 {
@@ -98,7 +91,6 @@ impl OrchestratorConfig {
             // so the node's measurements have fully aged out.
             staleness_threshold: SimDuration::from_secs(30),
             seed: 0,
-            incremental_snapshots: default_incremental_snapshots(),
             percentage_of_nodes_to_score: default_percentage_of_nodes_to_score(),
             adaptive_percentage_of_nodes_to_score: false,
             score_threads: default_score_threads(),
@@ -126,12 +118,6 @@ impl OrchestratorConfig {
     /// Same configuration with a different staleness threshold.
     pub fn with_staleness_threshold(mut self, threshold: SimDuration) -> Self {
         self.staleness_threshold = threshold;
-        self
-    }
-
-    /// Same configuration with incremental snapshot maintenance toggled.
-    pub fn with_incremental_snapshots(mut self, incremental: bool) -> Self {
-        self.incremental_snapshots = incremental;
         self
     }
 
@@ -252,10 +238,11 @@ pub struct BindOutcome {
 /// One completed live migration, as reported by
 /// [`Orchestrator::drain_node`] and [`Orchestrator::rebalance_epc`].
 ///
-/// The `delay` is what [`Node::migrate_in`] charged for the attested
-/// handshake plus shipping the checkpoint: the pod's downtime. Replay
-/// layers shift the pod's in-flight finish event by it so migrations show
-/// up in turnaround times.
+/// The `delay` is what
+/// [`Node::migrate_in`](cluster::node::Node::migrate_in) charged for the
+/// attested handshake plus shipping the checkpoint: the pod's downtime.
+/// Replay layers shift the pod's in-flight finish event by it so
+/// migrations show up in turnaround times.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Migration {
     /// The migrated pod.
@@ -287,11 +274,6 @@ pub struct NodeRemoval {
 pub struct Orchestrator {
     cluster: Cluster,
     db: ShardedDatabase,
-    /// Incremental state for the per-pass Listing-1 queries. Interior
-    /// mutability keeps [`capture_view`](Orchestrator::capture_view) a
-    /// `&self` read — the cache is an acceleration structure, not
-    /// observable state.
-    window_cache: RefCell<WindowedCache>,
     queue: PendingQueue,
     probes: Vec<Probe>,
     /// Scheduler-name → pipeline resolution for every placement the
@@ -300,17 +282,9 @@ pub struct Orchestrator {
     config: OrchestratorConfig,
     records: BTreeMap<PodUid, PodRecord>,
     events: EventLog,
-    /// Instant each node's metrics last reached the database (scrape
-    /// *delivery*, not sampling: a frame lost in transit keeps the node
-    /// stale). Absent until the node's first delivered scrape.
-    last_scrape: BTreeMap<NodeName, SimTime>,
-    /// Recovery epoch per node: set when a crashed node rejoins with a
-    /// fresh (empty-state) kubelet, cleared by the first scrape sampled
-    /// at or after it. While present, the node's view is forced
-    /// degraded (requests-only) — whatever the tsdb still holds from
-    /// before the crash describes pods that died with the old kubelet —
-    /// and frames sampled before the epoch are dropped at ingest.
-    recovered_at: BTreeMap<NodeName, SimTime>,
+    /// Per-node scrape bookkeeping: delivery and sample stamps, recovery
+    /// and registration epochs. Torn down with the node.
+    ledger: BTreeMap<NodeName, NodeLedger>,
     /// Placement decisions taken while at least one node's view was
     /// degraded by stale metrics.
     degraded_decisions: u64,
@@ -318,16 +292,11 @@ pub struct Orchestrator {
     /// snapshot (binds, completions, migrations, cordons, failures) —
     /// the explicit half of the incremental refresh set. Interior
     /// mutability keeps [`capture_snapshot`](Orchestrator::capture_snapshot)
-    /// a `&self` read, like the window cache.
+    /// a `&self` read.
     dirty: RefCell<BTreeSet<NodeName>>,
-    /// Newest sample instant per node, counting only non-empty scrape
-    /// frames. Decides which nodes' measured usage may have changed as
-    /// the sliding window advances: a node whose newest sample predates
-    /// the previous capture's window had nothing in that window, so
-    /// nothing left it since.
-    last_sample: BTreeMap<NodeName, SimTime>,
     /// The previous pass's frozen snapshot and the window bound it saw —
-    /// the base the next incremental capture refreshes.
+    /// the base the next capture refreshes. `None` before the first
+    /// capture and after [`cluster_mut`](Orchestrator::cluster_mut).
     snapshot_cache: RefCell<Option<CachedSnapshot>>,
     /// Scheduling passes taken so far; seeds the candidate-rotation
     /// cursor of sampled placements.
@@ -336,7 +305,7 @@ pub struct Orchestrator {
     /// lifetime — the numerator of the online-serving pods-bound/sec
     /// benchmark. Denied-at-init launches are not counted.
     bound_count: u64,
-    /// Snapshot captures performed so far (full or incremental).
+    /// Snapshot captures performed so far.
     /// Observability for the drain regression tests: a whole drain must
     /// cost exactly one capture, not one per evicted pod.
     snapshot_captures: Cell<u64>,
@@ -352,9 +321,79 @@ struct CachedSnapshot {
     window_lo: SimTime,
 }
 
+/// One node's scrape bookkeeping.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct NodeLedger {
+    /// Instant the node's metrics last reached the database (scrape
+    /// *delivery*, not sampling: a frame lost in transit keeps the node
+    /// stale). `None` until the node's first delivered scrape.
+    last_scrape: Option<SimTime>,
+    /// Newest sample instant, counting only non-empty scrape frames.
+    /// Decides which nodes' measured usage may have changed as the
+    /// sliding window advances: a node whose newest sample predates the
+    /// previous capture's window had nothing in that window, so nothing
+    /// left it since.
+    last_sample: Option<SimTime>,
+    /// Recovery epoch: set when a crashed node rejoins with a fresh
+    /// (empty-state) kubelet. Until a scrape sampled at or after it is
+    /// delivered, the node's view is forced degraded (requests-only) —
+    /// whatever the tsdb still holds from before the crash describes
+    /// pods that died with the old kubelet.
+    recovered_at: Option<SimTime>,
+    /// Runtime registration instant ([`Orchestrator::add_node`]); zero
+    /// for nodes of the initial cluster.
+    registered_at: SimTime,
+}
+
+impl NodeLedger {
+    /// Whether a frame sampled at `scraped_at` describes this incarnation
+    /// of the node. A frame sampled before the node registered describes
+    /// a predecessor under the same name; one sampled before the last
+    /// recovery describes the pre-crash kubelet, whose pods died with the
+    /// crash. Admitting either would resurrect phantom occupancy (and
+    /// freshness).
+    fn admits(&self, scraped_at: SimTime) -> bool {
+        scraped_at >= self.registered_at
+            && self.recovered_at.is_none_or(|epoch| scraped_at >= epoch)
+    }
+
+    /// Whether the node is still under recovery quarantine: no scrape
+    /// sampled since its recovery epoch has been delivered.
+    fn recovery_pending(&self) -> bool {
+        self.recovered_at
+            .is_some_and(|epoch| self.last_scrape.is_none_or(|scraped| scraped < epoch))
+    }
+}
+
+/// Adds `name` to a dirty set, cloning the name only when it is new.
+fn mark_dirty_in(dirty: &RefCell<BTreeSet<NodeName>>, name: &NodeName) {
+    let mut dirty = dirty.borrow_mut();
+    if !dirty.contains(name) {
+        dirty.insert(name.clone());
+    }
+}
+
+/// Max-merges `at` into a stamp: a delayed frame must not roll it back.
+fn advance(stamp: &mut Option<SimTime>, at: SimTime) {
+    *stamp = Some(stamp.map_or(at, |t| t.max(at)));
+}
+
 impl Orchestrator {
     /// Builds the cluster from `spec` and wires up the monitoring stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.retention` is shorter than
+    /// `config.metrics_window`: retention would then evict samples the
+    /// query window still covers, behind the incremental snapshot
+    /// refresh's back.
     pub fn new(spec: ClusterSpec, config: OrchestratorConfig) -> Self {
+        assert!(
+            config.retention >= config.metrics_window,
+            "retention ({}) must cover the metrics window ({})",
+            config.retention,
+            config.metrics_window
+        );
         let probes = vec![
             Probe::heapster(config.probe_period),
             Probe::sgx(config.probe_period),
@@ -362,7 +401,6 @@ impl Orchestrator {
         Orchestrator {
             cluster: Cluster::build(&spec),
             db: ShardedDatabase::new(config.ingest_shards),
-            window_cache: RefCell::new(WindowedCache::new()),
             queue: PendingQueue::new(),
             probes,
             registry: PolicyRegistry::builtin(),
@@ -370,11 +408,9 @@ impl Orchestrator {
             config,
             records: BTreeMap::new(),
             events: EventLog::with_capacity(100_000),
-            last_scrape: BTreeMap::new(),
-            recovered_at: BTreeMap::new(),
+            ledger: BTreeMap::new(),
             degraded_decisions: 0,
             dirty: RefCell::new(BTreeSet::new()),
-            last_sample: BTreeMap::new(),
             snapshot_cache: RefCell::new(None),
             pass_counter: 0,
             bound_count: 0,
@@ -401,8 +437,8 @@ impl Orchestrator {
     /// Mutable access to the cluster (e.g. to toggle driver enforcement).
     ///
     /// Arbitrary topology edits — node add/remove, capacity changes —
-    /// are only reachable through here, so this drops the incremental
-    /// snapshot base: the next capture re-derives every node.
+    /// are only reachable through here, so this drops the cached
+    /// snapshot base: the next capture re-derives every worker.
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         *self.snapshot_cache.get_mut() = None;
         self.dirty.get_mut().clear();
@@ -412,7 +448,7 @@ impl Orchestrator {
     /// Marks a node's frozen view stale: the next snapshot capture
     /// re-derives it instead of reusing the cached one.
     fn mark_dirty(&self, name: &NodeName) {
-        self.dirty.borrow_mut().insert(name.clone());
+        mark_dirty_in(&self.dirty, name);
     }
 
     /// Nodes currently marked for refresh at the next snapshot capture
@@ -464,12 +500,11 @@ impl Orchestrator {
         let uid = PodUid::new(self.next_uid);
         self.next_uid += 1;
 
-        // Same predicate as `ClusterView::permanently_unschedulable`, but
-        // walked directly over the cluster: admission only needs static
-        // capacities, so capturing (and staleness-stamping) a full
-        // metrics view per submission would cost O(nodes) for nothing —
-        // ruinous at autoscaled cluster sizes. The walk short-circuits on
-        // the first node that could ever hold the pod.
+        // Walked directly over the cluster: admission only needs static
+        // capacities, so capturing (and staleness-stamping) a snapshot
+        // per submission would cost O(nodes) for nothing — ruinous at
+        // autoscaled cluster sizes. The walk short-circuits on the first
+        // node that could ever hold the pod.
         let req = spec.resources.requests;
         let unschedulable = !self.cluster.workers().any(|n| {
             req.memory <= n.allocatable_memory()
@@ -604,42 +639,31 @@ impl Orchestrator {
     }
 
     /// One probe pass (§V-C): every probe scrapes every node it targets
-    /// into one [`PointBatch`] per node and pushes the frames into the
-    /// database; retention is enforced. The batched transport stores the
-    /// measurement and `nodename` tag once per frame instead of cloning
-    /// them into every point.
+    /// into one [`PointBatch`] per node, each frame is delivered inline
+    /// as [`ingest_frame`](Self::ingest_frame) would, and retention is
+    /// enforced. Frames are ingested as they are sampled, so a tick never
+    /// holds more than one of them.
     pub fn probe_pass(&mut self, now: SimTime) {
-        let mut sampled: Vec<NodeName> = Vec::new();
         for probe in &self.probes {
-            for node in self.cluster.nodes() {
-                if probe.targets(node) {
-                    let batch = probe.sample_batch(node, now);
-                    if !batch.is_empty() {
-                        sampled.push(node.name().clone());
-                    }
-                    self.db.insert_batch(&batch);
-                }
+            for node in self.cluster.nodes().filter(|node| probe.targets(node)) {
+                let batch = probe.sample_batch(node, now);
+                Self::deliver_frame(
+                    &self.cluster,
+                    &self.db,
+                    &mut self.ledger,
+                    &self.dirty,
+                    node.name(),
+                    &batch,
+                    now,
+                );
             }
         }
-        for name in sampled {
-            self.record_sample(&name, now);
-        }
-        self.stamp_all_scrapes(now);
-        self.db.enforce_retention(now, self.config.retention);
-    }
-
-    /// Records a successful same-instant scrape delivery for every node —
-    /// the lossless probe passes deliver all frames inline.
-    fn stamp_all_scrapes(&mut self, now: SimTime) {
-        let names: Vec<NodeName> = self.cluster.nodes().map(|n| n.name().clone()).collect();
-        for name in names {
-            self.record_scrape(&name, now);
-        }
+        self.enforce_metrics_retention(now);
     }
 
     /// Scrapes every node into per-node wire frames *without* delivering
-    /// them — probe-major, in exactly the order [`probe_pass`] inserts, so
-    /// delivering every frame inline via [`ingest_frame`] reproduces a
+    /// them — probe-major, in exactly the order [`probe_pass`] ingests,
+    /// so delivering every frame inline via [`ingest_frame`] reproduces a
     /// lossless pass bit for bit. Empty frames are included: a scrape of
     /// an idle node still proves the node's probes are alive.
     ///
@@ -658,48 +682,59 @@ impl Orchestrator {
     }
 
     /// Delivers one scrape frame into the database and refreshes the
-    /// node's metrics freshness. `scraped_at` is the instant the frame
-    /// was sampled — a delayed frame arriving after a newer one must not
-    /// roll freshness backwards, so the stamp is max-merged.
+    /// node's metrics freshness — the one route probe samples take into
+    /// the tsdb. `scraped_at` is the instant the frame was sampled — a
+    /// delayed frame arriving after a newer one must not roll freshness
+    /// backwards, so the stamps are max-merged.
+    ///
+    /// The whole frame is void when it cannot describe the node as it is
+    /// registered now: the node is gone, or the frame was sampled before
+    /// the node's runtime registration or last recovery.
     pub fn ingest_frame(&mut self, node: &NodeName, batch: &PointBatch, scraped_at: SimTime) {
-        // A frame sampled before the node's last recovery describes the
-        // pre-crash kubelet: its pods died with the crash and its
-        // delivery proves nothing about the rebooted node. Admitting it
-        // would resurrect phantom occupancy (and freshness), so the
-        // whole frame is void.
-        if self
-            .recovered_at
-            .get(node)
-            .is_some_and(|&epoch| scraped_at < epoch)
-        {
+        Self::deliver_frame(
+            &self.cluster,
+            &self.db,
+            &mut self.ledger,
+            &self.dirty,
+            node,
+            batch,
+            scraped_at,
+        );
+    }
+
+    /// [`ingest_frame`](Self::ingest_frame) over the fields it touches,
+    /// so [`probe_pass`](Self::probe_pass) can deliver while it walks the
+    /// probes and the cluster.
+    fn deliver_frame(
+        cluster: &Cluster,
+        db: &ShardedDatabase,
+        ledger: &mut BTreeMap<NodeName, NodeLedger>,
+        dirty: &RefCell<BTreeSet<NodeName>>,
+        node: &NodeName,
+        batch: &PointBatch,
+        scraped_at: SimTime,
+    ) {
+        // A frame for a deregistered node would re-create the series and
+        // ledger entries its teardown removed.
+        if cluster.node(node).is_none() {
             return;
         }
-        self.db.insert_batch(batch);
-        if !batch.is_empty() {
-            self.record_sample(node, scraped_at);
+        let entry = match ledger.get_mut(node) {
+            Some(entry) => entry,
+            None => ledger.entry(node.clone()).or_default(),
+        };
+        if !entry.admits(scraped_at) {
+            return;
         }
-        self.record_scrape(node, scraped_at);
-    }
-
-    fn record_scrape(&mut self, node: &NodeName, scraped_at: SimTime) {
-        self.last_scrape
-            .entry(node.clone())
-            .and_modify(|t| *t = (*t).max(scraped_at))
-            .or_insert(scraped_at);
-    }
-
-    /// Records that a non-empty frame sampled at `at` entered the
-    /// database for `node` — the signal the incremental snapshot refresh
-    /// uses to tell which nodes' in-window sample sets can still change.
-    /// Max-merged, like the scrape stamp: a delayed frame must not roll
-    /// the newest-sample instant backwards. Also marks the node dirty so
-    /// the next capture re-derives its measured usage right away.
-    fn record_sample(&mut self, node: &NodeName, at: SimTime) {
-        self.mark_dirty(node);
-        self.last_sample
-            .entry(node.clone())
-            .and_modify(|t| *t = (*t).max(at))
-            .or_insert(at);
+        db.insert_batch(batch);
+        advance(&mut entry.last_scrape, scraped_at);
+        if !batch.is_empty() {
+            // The newest-sample stamp tells the snapshot refresh which
+            // nodes' in-window sample sets can still change; the dirty
+            // mark re-derives this node's measured usage right away.
+            advance(&mut entry.last_sample, scraped_at);
+            mark_dirty_in(dirty, node);
+        }
     }
 
     /// Enforces the database retention window, as the tail of a probe
@@ -711,7 +746,8 @@ impl Orchestrator {
 
     /// Age of a node's last delivered scrape, `None` if never scraped.
     pub fn metrics_age(&self, node: &NodeName, now: SimTime) -> Option<SimDuration> {
-        self.last_scrape.get(node).map(|&t| now.saturating_since(t))
+        let scraped = self.ledger.get(node)?.last_scrape?;
+        Some(now.saturating_since(scraped))
     }
 
     /// Whether a node is under recovery quarantine: it rejoined after a
@@ -719,119 +755,15 @@ impl Orchestrator {
     /// is forced degraded regardless of scrape age. Part of the staleness
     /// rule — exposed so external from-scratch oracles can reproduce it.
     pub fn recovery_pending(&self, node: &NodeName) -> bool {
-        self.recovered_at.get(node).is_some_and(|&epoch| {
-            self.last_scrape
-                .get(node)
-                .is_none_or(|&scraped| scraped < epoch)
-        })
+        self.ledger
+            .get(node)
+            .is_some_and(NodeLedger::recovery_pending)
     }
 
     /// Placement decisions taken while stale metrics had degraded at
     /// least one node's view.
     pub fn degraded_decisions(&self) -> u64 {
         self.degraded_decisions
-    }
-
-    /// [`probe_pass`](Self::probe_pass) with the fleet fan-in ran
-    /// concurrently: `threads` producer threads scrape disjoint node
-    /// subsets and ship each node's [`PointBatch`]es — all of a node's
-    /// frames in one message — over bounded `crossbeam` channels to
-    /// `threads` writer threads. Each writer coalesces incoming frames
-    /// into a writer-local buffer and flushes it through
-    /// [`ShardedDatabase::insert_batches`], which groups rows by shard
-    /// across frames so each shard's registry guard is taken once per
-    /// flush instead of once per frame. Buffers flush every
-    /// `WRITER_FLUSH_FRAMES` (32) frames and, unconditionally, when the
-    /// channel closes — the tick boundary — so no sample outlives the
-    /// pass in a buffer.
-    ///
-    /// The resulting database state is **bit-identical** to the
-    /// sequential pass (property-tested in `tests/ingest_props.rs`): a
-    /// node's series are written only by the writer its name hashes to,
-    /// the buffer preserves frame arrival order, and within one pass
-    /// every series receives at most one sample per probe, so no
-    /// same-series ordering exists to violate; all writer threads join
-    /// before the pass returns.
-    pub fn probe_pass_concurrent(&mut self, now: SimTime, threads: usize) {
-        /// Frames a writer accumulates locally before flushing them into
-        /// the database in one grouped [`ShardedDatabase::insert_batches`]
-        /// call. Small enough that a pass's tail latency stays bounded,
-        /// large enough to amortise the per-shard guard across a run of
-        /// frames.
-        const WRITER_FLUSH_FRAMES: usize = 32;
-
-        let threads = threads.max(1);
-        let db = &self.db;
-        let probes = &self.probes;
-        let nodes: Vec<&Node> = self.cluster.nodes().collect();
-        // Producers note which nodes shipped non-empty frames; merged
-        // into the newest-sample stamps after the scope joins (the merge
-        // is a max, so the collection order across threads is moot).
-        let sampled = std::sync::Mutex::new(Vec::<NodeName>::new());
-        let sampled_ref = &sampled;
-
-        crossbeam::thread::scope(|scope| {
-            // One bounded channel per writer; a node's frames always go to
-            // the same writer (hash of the node name), so the per-node
-            // probe order is preserved end to end.
-            let mut senders = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let (tx, rx) = crossbeam::channel::bounded::<Vec<PointBatch>>(16);
-                senders.push(tx);
-                scope.spawn(move || {
-                    let mut buffer: Vec<PointBatch> = Vec::with_capacity(WRITER_FLUSH_FRAMES);
-                    while let Ok(frames) = rx.recv() {
-                        buffer.extend(frames);
-                        if buffer.len() >= WRITER_FLUSH_FRAMES {
-                            db.insert_batches(&buffer);
-                            buffer.clear();
-                        }
-                    }
-                    // Tick boundary: the channel closed, flush what's left.
-                    db.insert_batches(&buffer);
-                });
-            }
-            // Producers scrape strided node subsets, shipping each node's
-            // frames as one message.
-            for offset in 0..threads.min(nodes.len().max(1)) {
-                let senders = senders.clone();
-                let nodes = &nodes;
-                scope.spawn(move || {
-                    for node in nodes.iter().skip(offset).step_by(threads) {
-                        let writer = {
-                            use std::hash::{Hash, Hasher};
-                            let mut h = std::collections::hash_map::DefaultHasher::new();
-                            node.name().as_str().hash(&mut h);
-                            (h.finish() % senders.len() as u64) as usize
-                        };
-                        let mut frames: Vec<PointBatch> = Vec::new();
-                        for probe in probes {
-                            if probe.targets(node) {
-                                let batch = probe.sample_batch(node, now);
-                                if !batch.is_empty() {
-                                    frames.push(batch);
-                                }
-                            }
-                        }
-                        if !frames.is_empty() {
-                            sampled_ref
-                                .lock()
-                                .expect("sample collector")
-                                .push(node.name().clone());
-                            senders[writer].send(frames).expect("writer alive");
-                        }
-                    }
-                });
-            }
-            // Drop the template senders: writers exit once every producer
-            // is done.
-            drop(senders);
-        });
-        for name in sampled.into_inner().expect("sample collector") {
-            self.record_sample(&name, now);
-        }
-        self.stamp_all_scrapes(now);
-        self.db.enforce_retention(now, self.config.retention);
     }
 
     /// Completes a running pod: terminates it on its node and closes its
@@ -859,94 +791,43 @@ impl Orchestrator {
         Ok(())
     }
 
-    /// The scheduler's current view (capacities, requests, measured usage
-    /// over the sliding window).
-    ///
-    /// The Listing-1 queries run through a [`WindowedCache`] shared across
-    /// passes, so each capture only processes the samples that entered or
-    /// left the window since the previous one. The cache validates itself
-    /// against the database's change stamps, and its results are
-    /// bit-for-bit identical to querying the database directly.
-    pub fn capture_view(&self, now: SimTime) -> ClusterView {
-        let mut view = ClusterView::capture_cached(
-            &self.cluster,
-            &self.db,
-            &mut self.window_cache.borrow_mut(),
-            now,
-            self.config.metrics_window,
-        );
-        self.annotate_staleness(&mut view, now);
-        view
-    }
-
     /// Freezes the immutable per-pass [`ClusterSnapshot`] the scheduling
     /// framework consumes: every worker (cordoned ones included, flagged
     /// for the cordon filter), effective occupancy from the Listing-1
-    /// window queries, staleness annotated against the configured
+    /// window fold, staleness annotated against the configured
     /// threshold.
     ///
-    /// With `incremental_snapshots` on (the default) the snapshot is
-    /// maintained across passes: only nodes in the refresh set — marked
-    /// dirty by a bind, completion, migration, cordon or failure, or
-    /// whose in-window sample set changed as the window slid — have
-    /// their views re-derived; the clean remainder is structurally
-    /// shared with the previous pass's snapshot. Bit-identical to a full
-    /// capture (property-tested in `tests/snapshot_incremental.rs`).
+    /// The snapshot is maintained across passes: only nodes in the
+    /// refresh set — marked dirty by a bind, completion, migration,
+    /// cordon, failure or delivered sample, or whose in-window sample set
+    /// changed as the window slid — have their views re-derived, one
+    /// per-node fold each; the clean remainder is structurally shared
+    /// with the previous pass's snapshot. A cold capture (the first one,
+    /// or the first after [`cluster_mut`](Self::cluster_mut)) starts from
+    /// an empty snapshot with every worker in the refresh set.
+    /// Bit-identical to the from-scratch [`ClusterSnapshot::capture`]
+    /// (property-tested in `tests/snapshot_incremental.rs`).
     pub fn capture_snapshot(&self, now: SimTime) -> ClusterSnapshot {
         self.snapshot_captures.set(self.snapshot_captures.get() + 1);
         let window = self.config.metrics_window;
-        // Retention shorter than the query window could evict in-window
-        // samples behind the dirty tracking's back; full captures are
-        // the safe fallback in that (mis)configuration.
-        let incremental = self.config.incremental_snapshots && self.config.retention >= window;
-        let cached = if incremental {
-            self.snapshot_cache.borrow_mut().take()
-        } else {
-            None
-        };
-        let snapshot = match cached {
-            Some(prev) => self.refresh_snapshot(prev, now),
-            None => {
-                self.dirty.borrow_mut().clear();
-                let mut snapshot = ClusterSnapshot::capture_cached(
-                    &self.cluster,
-                    &self.db,
-                    &mut self.window_cache.borrow_mut(),
-                    now,
-                    window,
-                );
-                snapshot.update(now, |nodes| self.stamp_staleness(nodes, now));
-                snapshot
-            }
-        };
-        if incremental {
-            let window_lo =
-                SimTime::from_micros(now.as_micros().saturating_sub(window.as_micros()));
-            *self.snapshot_cache.borrow_mut() = Some(CachedSnapshot {
-                snapshot: snapshot.clone(),
-                window_lo,
-            });
-        }
-        snapshot
-    }
-
-    /// The incremental capture path: advances the cached snapshot to
-    /// `now`, re-deriving only the refresh set — the drained dirty set
-    /// plus every node whose newest non-empty sample falls at or after
-    /// the previous capture's window bound (its in-window sample set can
-    /// have gained or lost samples as the window slid; a node whose
-    /// newest sample predates that bound measured empty then and still
-    /// does). Staleness is re-stamped on every node — ages move with
-    /// `now` for free inside the same map walk.
-    fn refresh_snapshot(&self, prev: CachedSnapshot, now: SimTime) -> ClusterSnapshot {
-        let window = self.config.metrics_window;
         let mut refresh = std::mem::take(&mut *self.dirty.borrow_mut());
-        for (name, &last) in &self.last_sample {
-            if last >= prev.window_lo {
-                refresh.insert(name.clone());
+        let mut snapshot = match self.snapshot_cache.borrow_mut().take() {
+            Some(prev) => {
+                // A node whose newest sample predates the previous
+                // capture's window bound measured empty then and still
+                // does; any other may have gained or lost samples.
+                for (name, entry) in &self.ledger {
+                    if entry.last_sample.is_some_and(|last| last >= prev.window_lo) {
+                        refresh.insert(name.clone());
+                    }
+                }
+                prev.snapshot
             }
-        }
-        let mut snapshot = prev.snapshot;
+            None => {
+                refresh.extend(self.cluster.workers().map(|node| node.name().clone()));
+                ClusterSnapshot::from_nodes(now, BTreeMap::new())
+            }
+        };
         snapshot.update(now, |nodes| {
             for name in &refresh {
                 // The refresh set is also how runtime node lifecycle
@@ -968,20 +849,8 @@ impl Orchestrator {
                     epc_capacity: node.allocatable_epc(),
                     memory_requested: node.memory_requested(),
                     epc_requested: node.epc_requested(),
-                    memory_measured: ClusterView::measured_node(
-                        &self.db,
-                        MEASUREMENT_MEMORY,
-                        name,
-                        now,
-                        window,
-                    ),
-                    epc_measured: ClusterView::measured_node(
-                        &self.db,
-                        MEASUREMENT_EPC,
-                        name,
-                        now,
-                        window,
-                    ),
+                    memory_measured: measured_node(&self.db, MEASUREMENT_MEMORY, name, now, window),
+                    epc_measured: measured_node(&self.db, MEASUREMENT_EPC, name, now, window),
                     metrics_age: None,
                     degraded: false,
                     cordoned: node.is_cordoned(),
@@ -990,65 +859,47 @@ impl Orchestrator {
             }
             self.stamp_staleness(nodes, now);
         });
+        let window_lo = SimTime::from_micros(now.as_micros().saturating_sub(window.as_micros()));
+        *self.snapshot_cache.borrow_mut() = Some(CachedSnapshot {
+            snapshot: snapshot.clone(),
+            window_lo,
+        });
         snapshot
     }
 
-    /// Stamps metrics ages and degraded flags — the one staleness rule
-    /// all capture paths share (full snapshot capture, incremental
-    /// refresh, and the [`ClusterView`] path): a node is degraded once
-    /// its last delivered scrape is strictly older than the configured
-    /// threshold; never-scraped nodes stay fresh. Walks the scrape
-    /// ledger, not the node map: a node with no recorded scrape reads
-    /// `metrics_age: None, degraded: false` — exactly what fresh view
-    /// construction and the refresh reset leave behind — so only
-    /// scraped nodes ever need their stamps rewritten, and the walk
-    /// costs O(scraped), not O(nodes).
+    /// Stamps metrics ages and degraded flags — the staleness rule: a
+    /// node is degraded once its last delivered scrape is strictly older
+    /// than the configured threshold, or while it is under recovery
+    /// quarantine; never-scraped nodes stay fresh. A node with no
+    /// recorded scrape reads `metrics_age: None, degraded: false` —
+    /// exactly what view construction leaves behind — so only scraped or
+    /// quarantined nodes ever need their stamps rewritten.
     fn stamp_staleness(&self, nodes: &mut BTreeMap<NodeName, NodeView>, now: SimTime) {
         let threshold = self.config.staleness_threshold;
-        for (name, &scraped_at) in &self.last_scrape {
+        for (name, entry) in &self.ledger {
             let Some(view) = nodes.get_mut(name) else {
                 continue;
             };
-            let age = now.saturating_since(scraped_at);
-            view.metrics_age = Some(age);
-            view.degraded = age > threshold;
-        }
-        // A node under recovery quarantine is degraded regardless of how
-        // fresh its pre-crash scrape stamp still looks: nothing delivered
-        // since the kubelet rebooted, so measured usage is hearsay about
-        // pods that died with the crash. The epoch entry persists past
-        // the lifting scrape on purpose — clearing it would make frame
-        // delivery order-sensitive (a post-recovery frame clearing the
-        // entry would re-admit a later-arriving pre-crash frame).
-        for (name, &epoch) in &self.recovered_at {
-            let lifted = self
-                .last_scrape
-                .get(name)
-                .is_some_and(|&scraped| scraped >= epoch);
-            if !lifted {
-                if let Some(view) = nodes.get_mut(name) {
-                    view.degraded = true;
-                }
+            if let Some(scraped_at) = entry.last_scrape {
+                let age = now.saturating_since(scraped_at);
+                view.metrics_age = Some(age);
+                view.degraded = age > threshold;
+            }
+            // A node under recovery quarantine is degraded regardless of
+            // how fresh its pre-crash scrape stamp still looks: nothing
+            // delivered since the kubelet rebooted, so measured usage is
+            // hearsay about pods that died with the crash. The epoch
+            // persists past the lifting scrape on purpose — clearing it
+            // would make frame delivery order-sensitive (a post-recovery
+            // frame clearing it would re-admit a later-arriving
+            // pre-crash frame).
+            if entry.recovery_pending() {
+                view.degraded = true;
             }
         }
     }
 
-    /// Stamps a view with per-node metrics ages and degrades nodes whose
-    /// last delivered scrape is older than the configured threshold —
-    /// what [`capture_view`](Self::capture_view) applies to every
-    /// snapshot it hands the schedulers. Same rule as
-    /// [`capture_snapshot`](Self::capture_snapshot), via the shared
-    /// stamping helper.
-    pub fn annotate_staleness(&self, view: &mut ClusterView, now: SimTime) {
-        self.stamp_staleness(view.nodes_mut(), now);
-    }
-
-    /// Usage counters of the sliding-window query cache.
-    pub fn window_cache_stats(&self) -> tsdb::CacheStats {
-        self.window_cache.borrow().stats()
-    }
-
-    /// Snapshot captures performed so far, full and incremental alike —
+    /// Snapshot captures performed so far —
     /// observability for the capture-cost regressions (a whole drain
     /// must cost exactly one).
     pub fn snapshot_captures(&self) -> u64 {
@@ -1302,7 +1153,7 @@ impl Orchestrator {
     /// Returns [`ClusterError::UnknownNode`] for unknown nodes.
     pub fn recover_node(&mut self, name: &NodeName, now: SimTime) -> Result<(), ClusterError> {
         self.uncordon_node(name, now)?;
-        self.recovered_at.insert(name.clone(), now);
+        self.ledger.entry(name.clone()).or_default().recovered_at = Some(now);
         Ok(())
     }
 
@@ -1388,9 +1239,12 @@ impl Orchestrator {
     /// instead of inheriting the predecessor's staleness or quarantine.
     /// (Deregistration via [`remove_node`](Self::remove_node) already
     /// tears these down; this guards names retired through direct
-    /// [`cluster_mut`](Self::cluster_mut) edits too.) The cached
-    /// incremental snapshot gains exactly this node's entry at the next
-    /// capture — no full invalidation.
+    /// [`cluster_mut`](Self::cluster_mut) edits too.) Frames sampled
+    /// before `now` still in flight describe the predecessor and are
+    /// void at [`ingest_frame`](Self::ingest_frame); registration neither
+    /// quarantines nor degrades the node. The cached snapshot gains
+    /// exactly this node's entry at the next capture — no full
+    /// invalidation.
     ///
     /// # Errors
     ///
@@ -1404,6 +1258,13 @@ impl Orchestrator {
     ) -> Result<NodeName, ClusterError> {
         let name = self.cluster.add_node(name, spec, NodeRole::Worker)?;
         self.forget_node(&name);
+        self.ledger.insert(
+            name.clone(),
+            NodeLedger {
+                registered_at: now,
+                ..NodeLedger::default()
+            },
+        );
         self.mark_dirty(&name);
         self.events
             .record(now, EventKind::NodeAdded { node: name.clone() });
@@ -1488,18 +1349,9 @@ impl Orchestrator {
     /// probe series — shared by deregistration and by registration's
     /// name-reuse guard.
     fn forget_node(&mut self, name: &NodeName) {
-        self.last_scrape.remove(name);
-        self.recovered_at.remove(name);
-        self.last_sample.remove(name);
-        if self
-            .db
-            .drop_series_with_first_tag("nodename", name.as_str())
-            > 0
-        {
-            // Cached window aggregates may still fold the dropped series;
-            // deregistration is rare, so a full cache rebuild is fine.
-            self.window_cache.borrow_mut().clear();
-        }
+        self.ledger.remove(name);
+        self.db
+            .drop_series_with_first_tag("nodename", name.as_str());
     }
 
     /// Un-cordons a previously drained node.
@@ -1751,7 +1603,7 @@ mod tests {
         assert_eq!(orch.db().point_count(), 0);
         orch.probe_pass(SimTime::from_secs(10));
         assert!(orch.db().point_count() > 0);
-        let view = orch.capture_view(SimTime::from_secs(12));
+        let view = orch.capture_snapshot(SimTime::from_secs(12));
         let (_, node_view) = view
             .iter()
             .find(|(_, v)| !v.epc_measured.is_zero())
@@ -1761,59 +1613,13 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_probe_pass_matches_sequential_bit_for_bit() {
-        let mut sequential = orchestrator();
-        let mut concurrent = orchestrator();
-        for orch in [&mut sequential, &mut concurrent] {
-            orch.submit(sgx_spec("a", 20), SimTime::ZERO);
-            orch.submit(sgx_spec("b", 30), SimTime::ZERO);
-            orch.scheduler_pass(SimTime::from_secs(5));
-        }
-        for tick in 1..=12u64 {
-            let now = SimTime::from_secs(tick * 10);
-            sequential.probe_pass(now);
-            concurrent.probe_pass_concurrent(now, 4);
-            assert_eq!(
-                concurrent.db().snapshot(),
-                sequential.db().snapshot(),
-                "stores diverged at {now}"
-            );
-        }
-        assert_eq!(
-            concurrent.db().points_inserted(),
-            sequential.db().points_inserted()
-        );
-        // Listing-1 rows agree too.
-        let now = SimTime::from_secs(125);
-        let seq_view = sequential.capture_view(now);
-        let conc_view = concurrent.capture_view(now);
-        for (name, view) in seq_view.iter() {
-            assert_eq!(conc_view.node(name), Some(view));
-        }
-    }
-
-    #[test]
-    fn cached_view_matches_direct_capture_across_passes() {
-        let mut orch = orchestrator();
-        orch.submit(sgx_spec("a", 20), SimTime::ZERO);
-        orch.submit(sgx_spec("b", 30), SimTime::ZERO);
-        for tick in 1..60 {
-            let now = SimTime::from_secs(tick * 5);
-            orch.scheduler_pass(now);
-            if tick % 2 == 0 {
-                orch.probe_pass(now);
-            }
-            let cached = orch.capture_view(now);
-            let mut direct =
-                ClusterView::capture(orch.cluster(), orch.db(), now, orch.config().metrics_window);
-            orch.annotate_staleness(&mut direct, now);
-            for (name, view) in direct.iter() {
-                assert_eq!(cached.node(name), Some(view), "diverged at {now}");
-            }
-        }
-        let stats = orch.window_cache_stats();
-        assert!(stats.hits > 0, "cache never hit: {stats:?}");
-        assert_eq!(stats.fallbacks, 0);
+    #[should_panic(expected = "must cover the metrics window")]
+    fn retention_shorter_than_the_window_is_rejected() {
+        let config = OrchestratorConfig {
+            retention: SimDuration::from_secs(20),
+            ..OrchestratorConfig::paper()
+        };
+        let _ = Orchestrator::new(ClusterSpec::paper_cluster(), config);
     }
 
     #[test]
@@ -2056,7 +1862,7 @@ mod tests {
         orch.probe_pass(SimTime::from_secs(10));
 
         // Fresh scrape: ages annotated, nothing degraded.
-        let view = orch.capture_view(SimTime::from_secs(12));
+        let view = orch.capture_snapshot(SimTime::from_secs(12));
         let sgx1 = view.node(&NodeName::new("sgx-1")).unwrap();
         assert!(!sgx1.degraded);
         assert_eq!(sgx1.metrics_age, Some(SimDuration::from_secs(2)));
@@ -2064,10 +1870,12 @@ mod tests {
         // sgx-1's probes go silent while every other node keeps
         // reporting; by t=100 its last scrape is 90 s old.
         for name in ["sgx-2", "std-1", "std-2"] {
-            orch.last_scrape
-                .insert(NodeName::new(name), SimTime::from_secs(95));
+            orch.ledger
+                .entry(NodeName::new(name))
+                .or_default()
+                .last_scrape = Some(SimTime::from_secs(95));
         }
-        let view = orch.capture_view(SimTime::from_secs(100));
+        let view = orch.capture_snapshot(SimTime::from_secs(100));
         let sgx1 = view.node(&NodeName::new("sgx-1")).unwrap();
         assert!(sgx1.degraded);
         assert_eq!(sgx1.metrics_age, Some(SimDuration::from_secs(90)));
@@ -2084,8 +1892,10 @@ mod tests {
         orch.probe_pass(SimTime::from_secs(10));
         // sgx-1 goes silent; the rest keep scraping.
         for name in ["sgx-2", "std-1", "std-2"] {
-            orch.last_scrape
-                .insert(NodeName::new(name), SimTime::from_secs(100));
+            orch.ledger
+                .entry(NodeName::new(name))
+                .or_default()
+                .last_scrape = Some(SimTime::from_secs(100));
         }
         let uid = orch.submit(sgx_spec("late", 10), SimTime::from_secs(100));
         assert_eq!(orch.degraded_decisions(), 0);
@@ -2119,7 +1929,8 @@ mod tests {
             }
             framed.enforce_metrics_retention(now);
             assert_eq!(framed.db().snapshot(), direct.db().snapshot());
-            assert_eq!(framed.last_scrape, direct.last_scrape);
+            assert_eq!(framed.ledger, direct.ledger);
+            assert_eq!(framed.dirty_nodes(), direct.dirty_nodes());
         }
         // Idle nodes' empty frames still refresh their freshness.
         let frames = framed.scrape_frames(SimTime::from_secs(70));
@@ -2406,7 +2217,7 @@ mod tests {
         orch.probe_pass(SimTime::from_secs(10));
         orch.fail_node(&name, SimTime::from_secs(20)).unwrap();
         orch.recover_node(&name, SimTime::from_secs(30)).unwrap();
-        let view = orch.capture_view(SimTime::from_secs(31));
+        let view = orch.capture_snapshot(SimTime::from_secs(31));
         assert!(view.node(&name).unwrap().degraded);
 
         // Deregister, then register a brand-new machine under the same
@@ -2416,18 +2227,14 @@ mod tests {
         orch.remove_node(&name, SimTime::from_secs(40)).unwrap();
         orch.add_node("sgx-1", MachineSpec::sgx_node(), SimTime::from_secs(50))
             .unwrap();
-        let view = orch.capture_view(SimTime::from_secs(51));
-        let fresh = view.node(&name).unwrap();
+        let snap = orch.capture_snapshot(SimTime::from_secs(51));
+        let fresh = snap.node(&name).unwrap();
         assert!(!fresh.degraded, "reused name inherited recovery quarantine");
         assert_eq!(
             fresh.metrics_age, None,
             "reused name inherited scrape stamp"
         );
         assert!(fresh.epc_measured.is_zero());
-        let snap = orch.capture_snapshot(SimTime::from_secs(51));
-        let cached = snap.node(&name).unwrap();
-        assert!(!cached.degraded);
-        assert_eq!(cached.metrics_age, None);
         // And it takes pods like any healthy node.
         orch.submit(sgx_spec("fresh", 60), SimTime::from_secs(52));
         orch.submit(sgx_spec("fresh-2", 60), SimTime::from_secs(52));
@@ -2458,5 +2265,79 @@ mod tests {
         let shrunk = orch.capture_snapshot(SimTime::from_secs(5));
         assert!(shrunk.node(&NodeName::new("extra")).is_none());
         assert_eq!(shrunk.nodes().len(), 4);
+    }
+
+    #[test]
+    fn frames_for_a_deregistered_node_are_void() {
+        let mut orch = orchestrator();
+        let name = NodeName::new("dyn-0");
+        orch.add_node("dyn-0", MachineSpec::sgx_node(), SimTime::from_secs(10))
+            .unwrap();
+        let uid = orch.submit(sgx_spec("a", 40), SimTime::from_secs(10));
+        orch.scheduler_pass(SimTime::from_secs(15));
+        // The frame is sampled while the node still runs its pod...
+        let (_, frame) = orch
+            .scrape_frames(SimTime::from_secs(20))
+            .into_iter()
+            .find(|(node, batch)| node == &name && !batch.is_empty())
+            .expect("the node hosting the pod emits a non-empty frame");
+        orch.complete_pod(uid, SimTime::from_secs(25)).unwrap();
+        orch.remove_node(&name, SimTime::from_secs(30)).unwrap();
+        let series_before = orch.db().series_count();
+        // ...and delivered late, after the node was torn down.
+        orch.ingest_frame(&name, &frame, SimTime::from_secs(20));
+        assert_eq!(
+            orch.db().series_count(),
+            series_before,
+            "a void frame must not re-create the removed node's series"
+        );
+        assert_eq!(
+            orch.metrics_age(&name, SimTime::from_secs(40)),
+            None,
+            "a void frame must not resurrect the removed node's scrape stamp"
+        );
+    }
+
+    #[test]
+    fn frames_scraped_before_a_name_was_reused_are_void() {
+        let mut orch = orchestrator();
+        let name = NodeName::new("dyn-0");
+        orch.add_node("dyn-0", MachineSpec::sgx_node(), SimTime::from_secs(10))
+            .unwrap();
+        let uid = orch.submit(sgx_spec("old", 40), SimTime::from_secs(10));
+        orch.scheduler_pass(SimTime::from_secs(15));
+        let (_, stale) = orch
+            .scrape_frames(SimTime::from_secs(20))
+            .into_iter()
+            .find(|(node, batch)| node == &name && !batch.is_empty())
+            .expect("the node hosting the pod emits a non-empty frame");
+        orch.complete_pod(uid, SimTime::from_secs(25)).unwrap();
+        orch.remove_node(&name, SimTime::from_secs(30)).unwrap();
+        // A new machine registers under the same name; the predecessor's
+        // frame, sampled at t=20, arrives afterwards.
+        orch.add_node("dyn-0", MachineSpec::sgx_node(), SimTime::from_secs(35))
+            .unwrap();
+        orch.ingest_frame(&name, &stale, SimTime::from_secs(20));
+        let snap = orch.capture_snapshot(SimTime::from_secs(36));
+        let view = snap.node(&name).unwrap();
+        assert!(
+            view.epc_measured.is_zero(),
+            "the predecessor's pod showed up as phantom occupancy"
+        );
+        assert_eq!(
+            view.metrics_age, None,
+            "the stale frame counted as a scrape"
+        );
+        // Registration neither quarantines nor degrades: a frame sampled
+        // at the registration instant is admitted as usual.
+        assert!(!view.degraded);
+        assert!(!orch.recovery_pending(&name));
+        let empty = PointBatch::new(MEASUREMENT_EPC, "pod_name", SimTime::from_secs(35))
+            .with_shared_tag("nodename", "dyn-0");
+        orch.ingest_frame(&name, &empty, SimTime::from_secs(35));
+        assert_eq!(
+            orch.metrics_age(&name, SimTime::from_secs(36)),
+            Some(SimDuration::from_secs(1))
+        );
     }
 }

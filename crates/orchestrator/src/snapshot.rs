@@ -13,11 +13,14 @@
 //! * **Determinism** — nodes live in a [`BTreeMap`] keyed by name; every
 //!   iteration anywhere in the scheduling framework walks them in name
 //!   order. No `HashMap` ordering can leak into placement decisions.
-//! * **Completeness** — unlike [`ClusterView`], which captures only
-//!   schedulable nodes, a snapshot captures *every worker* including
+//! * **Completeness** — a snapshot captures *every worker* including
 //!   cordoned ones (with [`NodeView::cordoned`] set). Cordoned nodes are
 //!   excluded from placement by the cordon **filter plugin**, not by
 //!   omission, so the exclusion is visible, testable and reusable.
+//!
+//! The orchestrator maintains its snapshot incrementally
+//! (`Orchestrator::capture_snapshot`); [`ClusterSnapshot::capture`] is
+//! the from-scratch oracle that maintenance is verified against.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -27,9 +30,9 @@ use cluster::probe::{MEASUREMENT_EPC, MEASUREMENT_MEMORY};
 use cluster::topology::Cluster;
 use des::{SimDuration, SimTime};
 use sgx_sim::units::ByteSize;
-use tsdb::{Row, Select, SeriesStore, WindowedCache};
+use tsdb::{Aggregate, Predicate, Select, SeriesStore, TimeBound};
 
-use crate::metrics::{ClusterView, NodeView};
+use crate::metrics::NodeView;
 
 /// An immutable, cheaply-cloneable snapshot of every worker node, taken
 /// once per scheduling cycle.
@@ -73,47 +76,22 @@ impl ClusterSnapshot {
         }
     }
 
-    /// Captures all workers: capacities and requests from the cluster,
-    /// measured usage from sliding-window queries against `db`.
+    /// Captures all workers from scratch: capacities and requests from
+    /// the cluster, measured usage from the literal Listing-1 grouped
+    /// queries against `db`. The oracle the orchestrator's incrementally
+    /// maintained snapshot is checked against.
     ///
     /// Staleness is not annotated here (capture has no access to scrape
     /// bookkeeping); compose with
-    /// [`with_staleness`](Self::with_staleness), as
-    /// `Orchestrator::capture_snapshot` does.
+    /// [`with_staleness`](Self::with_staleness).
     pub fn capture<S: SeriesStore + ?Sized>(
         cluster: &Cluster,
         db: &S,
         now: SimTime,
         window: SimDuration,
     ) -> Self {
-        Self::capture_with(cluster, now, window, &mut |select, now| {
-            db.query(select, now)
-        })
-    }
-
-    /// Like [`capture`](Self::capture), but routes the Listing-1 queries
-    /// through a [`WindowedCache`]; bit-identical results, incremental
-    /// cost.
-    pub fn capture_cached<S: SeriesStore + ?Sized>(
-        cluster: &Cluster,
-        db: &S,
-        cache: &mut WindowedCache,
-        now: SimTime,
-        window: SimDuration,
-    ) -> Self {
-        Self::capture_with(cluster, now, window, &mut |select, now| {
-            cache.query(db, select, now)
-        })
-    }
-
-    fn capture_with(
-        cluster: &Cluster,
-        now: SimTime,
-        window: SimDuration,
-        run_query: &mut dyn FnMut(&Select, SimTime) -> Vec<Row>,
-    ) -> Self {
-        let epc_measured = ClusterView::measured(MEASUREMENT_EPC, now, window, run_query);
-        let mem_measured = ClusterView::measured(MEASUREMENT_MEMORY, now, window, run_query);
+        let epc_measured = measured(db, MEASUREMENT_EPC, now, window);
+        let mem_measured = measured(db, MEASUREMENT_MEMORY, now, window);
         let nodes = cluster
             .workers()
             .map(|node| {
@@ -170,8 +148,7 @@ impl ClusterSnapshot {
     /// Returns a snapshot with every node stamped with the age of its
     /// last delivered scrape and marked degraded once that age exceeds
     /// `threshold` (strictly greater; never-scraped nodes stay fresh).
-    /// Same semantics as [`ClusterView::annotate_staleness`], applied at
-    /// freeze time because snapshots are immutable afterwards.
+    /// Applied at freeze time because snapshots are immutable afterwards.
     #[must_use]
     pub fn with_staleness(
         self,
@@ -188,8 +165,7 @@ impl ClusterSnapshot {
     }
 
     /// Advances the snapshot to a new capture instant, handing the node
-    /// map to `apply` for in-place edits — the incremental-maintenance
-    /// entry point: the orchestrator refreshes only the dirty nodes'
+    /// map to `apply` for in-place edits — the maintenance entry point: the orchestrator refreshes only the dirty nodes'
     /// views and re-stamps staleness, structurally sharing everything
     /// else.
     ///
@@ -247,6 +223,31 @@ impl ClusterSnapshot {
     }
 }
 
+/// Executes the Listing 1 aggregation for one measurement: per-pod MAX
+/// over the window, summed per node.
+fn measured<S: SeriesStore + ?Sized>(
+    db: &S,
+    measurement: &str,
+    now: SimTime,
+    window: SimDuration,
+) -> BTreeMap<String, ByteSize> {
+    let per_pod = Select::from_measurement(measurement)
+        .aggregate(Aggregate::Max)
+        .filter(Predicate::ValueNe(0.0))
+        .filter(Predicate::TimeAtLeast(TimeBound::SinceNowMinus(window)))
+        .group_by(["pod_name", "nodename"]);
+    let per_node = Select::from_subquery(per_pod)
+        .aggregate(Aggregate::Sum)
+        .group_by(["nodename"]);
+    db.query(&per_node, now)
+        .into_iter()
+        .filter_map(|row| {
+            let node = row.tag("nodename")?.to_string();
+            Some((node, ByteSize::from_bytes(row.value.max(0.0) as u64)))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,7 +288,7 @@ mod tests {
             SimTime::ZERO,
             SimDuration::from_secs(25),
         );
-        // Unlike ClusterView, the cordoned node is present...
+        // The cordoned node is present...
         assert_eq!(snapshot.len(), 4);
         // ...but flagged.
         assert!(snapshot.node(&NodeName::new("sgx-1")).unwrap().cordoned);

@@ -191,30 +191,6 @@ fn cluster_mut_invalidates_the_cached_snapshot() {
     assert!(snap.node(&NodeName::new("sgx-2")).unwrap().cordoned);
 }
 
-#[test]
-fn disabling_incremental_snapshots_changes_nothing() {
-    let run = |incremental: bool| {
-        let mut orch = Orchestrator::new(
-            ClusterSpec::paper_cluster(),
-            OrchestratorConfig::paper().with_incremental_snapshots(incremental),
-        );
-        let mut digests = Vec::new();
-        for i in 0..8u64 {
-            let now = SimTime::from_secs(i * 5);
-            if i % 3 == 0 {
-                orch.submit(sgx_spec(&format!("p{i}"), 8 + i), now);
-            }
-            orch.scheduler_pass(now);
-            if i % 2 == 0 {
-                orch.probe_pass(now);
-            }
-            digests.push(format!("{:?}", orch.capture_snapshot(now)));
-        }
-        digests
-    };
-    assert_eq!(run(true), run(false));
-}
-
 #[derive(Debug, Clone)]
 enum Ev {
     /// Submit an SGX pod of the given size step.
@@ -239,6 +215,9 @@ enum Ev {
     RemoveNode(u8),
     /// Let time pass so samples age out and staleness grows.
     Idle,
+    /// Toggle the nth worker's cordon straight through `cluster_mut`,
+    /// bypassing every per-node dirty mark: the next capture is cold.
+    ClusterMut(u8),
 }
 
 fn ev_strategy() -> impl Strategy<Value = Ev> {
@@ -253,6 +232,21 @@ fn ev_strategy() -> impl Strategy<Value = Ev> {
         (0u8..8).prop_map(Ev::AddNode),
         (0u8..8).prop_map(Ev::RemoveNode),
         Just(Ev::Idle),
+        (0u8..4).prop_map(Ev::ClusterMut),
+    ]
+}
+
+/// Events that never capture a snapshot (no scheduling pass, drain or
+/// removal), so a run of them leaves the first capture still to come.
+fn uncaptured_ev_strategy() -> impl Strategy<Value = Ev> {
+    prop_oneof![
+        (1u8..40).prop_map(Ev::Submit),
+        Just(Ev::Probe),
+        (1u8..4).prop_map(Ev::LossyFrames),
+        (0u8..4).prop_map(Ev::ToggleFailure),
+        (0u8..8).prop_map(Ev::AddNode),
+        Just(Ev::Idle),
+        (0u8..4).prop_map(Ev::ClusterMut),
     ]
 }
 
@@ -266,97 +260,118 @@ fn running_pods(orch: &Orchestrator) -> Vec<PodUid> {
         .collect()
 }
 
+fn workers(orch: &Orchestrator) -> Vec<NodeName> {
+    orch.cluster().workers().map(|n| n.name().clone()).collect()
+}
+
+/// Applies one event at `now` (advancing it further for `Idle`).
+/// `next_node` numbers the runtime-added nodes.
+fn apply(orch: &mut Orchestrator, event: Ev, index: usize, now: &mut SimTime, next_node: &mut u32) {
+    match event {
+        Ev::Submit(size) => {
+            orch.submit(sgx_spec(&format!("p{index}"), u64::from(size)), *now);
+        }
+        Ev::Schedule => {
+            orch.scheduler_pass(*now);
+        }
+        Ev::Probe => orch.probe_pass(*now),
+        Ev::LossyFrames(k) => {
+            let frames = orch.scrape_frames(*now);
+            for (i, (node, batch)) in frames.iter().enumerate() {
+                if i % usize::from(k) == 0 {
+                    orch.ingest_frame(node, batch, *now);
+                }
+            }
+            orch.enforce_metrics_retention(*now);
+        }
+        Ev::Finish(n) => {
+            let running = running_pods(orch);
+            if let Some(&uid) = running.get(n as usize % running.len().max(1)) {
+                orch.complete_pod(uid, *now).expect("running pods complete");
+            }
+        }
+        Ev::ToggleCordon(n) => {
+            let names = workers(orch);
+            let name = names[n as usize % names.len()].clone();
+            if orch.cluster().node(&name).expect("worker").is_cordoned() {
+                orch.uncordon_node(&name, *now).expect("worker exists");
+            } else {
+                orch.drain_node(&name, *now).expect("worker exists");
+            }
+        }
+        Ev::ToggleFailure(n) => {
+            let names = workers(orch);
+            let name = names[n as usize % names.len()].clone();
+            if orch.cluster().node(&name).expect("worker").is_cordoned() {
+                orch.recover_node(&name, *now).expect("worker exists");
+            } else {
+                orch.fail_node(&name, *now).expect("worker exists");
+            }
+        }
+        Ev::AddNode(flag) => {
+            let spec = if flag % 2 == 1 {
+                cluster::machine::MachineSpec::sgx_node()
+            } else {
+                cluster::machine::MachineSpec::dell_r330()
+            };
+            // Every fourth add reuses a previously retired name (if
+            // any), exercising the name-reuse teardown path.
+            let name = if flag >= 6 && *next_node > 0 {
+                format!("dyn-{}", (u32::from(flag) * 7) % *next_node)
+            } else {
+                let name = format!("dyn-{next_node}");
+                *next_node += 1;
+                name
+            };
+            // Reused names may still be registered: that's the
+            // documented duplicate error, not a test failure.
+            let _ = orch.add_node(name, spec, *now);
+        }
+        Ev::RemoveNode(n) => {
+            let names = workers(orch);
+            if names.len() > 1 {
+                let name = names[n as usize % names.len()].clone();
+                orch.remove_node(&name, *now).expect("worker exists");
+            }
+        }
+        Ev::Idle => *now += SimDuration::from_secs(30),
+        Ev::ClusterMut(n) => {
+            let names = workers(orch);
+            let name = &names[n as usize % names.len()];
+            let node = orch.cluster_mut().node_mut(name).expect("worker");
+            let cordoned = node.is_cordoned();
+            node.set_cordoned(!cordoned);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole property: after every event of an arbitrary
     /// interleaving of probe frames (lossless and lossy), binds,
-    /// finishes, cordons, node failures and runtime node add/remove, the
-    /// incrementally maintained snapshot equals a from-scratch capture,
-    /// bit for bit.
+    /// finishes, cordons, node failures, runtime node add/remove and
+    /// direct `cluster_mut` edits, the incrementally maintained snapshot
+    /// equals a from-scratch capture, bit for bit. The run opens with an
+    /// arbitrary prefix of events that never capture, so the first
+    /// (cold) capture folds whatever state the prefix left behind; every
+    /// `cluster_mut` makes the next capture cold again.
     #[test]
-    fn incremental_snapshots_match_full_captures_under_arbitrary_events(
+    fn maintained_snapshot_matches_full_captures_under_arbitrary_events(
+        prefix in prop::collection::vec(uncaptured_ev_strategy(), 0..16),
         events in prop::collection::vec(ev_strategy(), 1..48),
     ) {
         let mut orch = orchestrator();
-        // The node set is dynamic now (add/remove events), so re-derive
-        // the worker list wherever an event picks a target.
-        let workers = |orch: &Orchestrator| -> Vec<NodeName> {
-            orch.cluster().workers().map(|n| n.name().clone()).collect()
-        };
         let mut next_node = 0u32;
         let mut now = SimTime::ZERO;
+        for (index, event) in prefix.into_iter().enumerate() {
+            now += SimDuration::from_secs(5);
+            apply(&mut orch, event, index, &mut now, &mut next_node);
+        }
+        prop_assert_eq!(orch.snapshot_captures(), 0, "the prefix must not capture");
         for (index, event) in events.into_iter().enumerate() {
             now += SimDuration::from_secs(5);
-            match event {
-                Ev::Submit(size) => {
-                    orch.submit(sgx_spec(&format!("p{index}"), u64::from(size)), now);
-                }
-                Ev::Schedule => {
-                    orch.scheduler_pass(now);
-                }
-                Ev::Probe => orch.probe_pass(now),
-                Ev::LossyFrames(k) => {
-                    let frames = orch.scrape_frames(now);
-                    for (i, (node, batch)) in frames.iter().enumerate() {
-                        if i % usize::from(k) == 0 {
-                            orch.ingest_frame(node, batch, now);
-                        }
-                    }
-                    orch.enforce_metrics_retention(now);
-                }
-                Ev::Finish(n) => {
-                    let running = running_pods(&orch);
-                    if let Some(&uid) = running.get(n as usize % running.len().max(1)) {
-                        orch.complete_pod(uid, now).expect("running pods complete");
-                    }
-                }
-                Ev::ToggleCordon(n) => {
-                    let names = workers(&orch);
-                    let name = names[n as usize % names.len()].clone();
-                    if orch.cluster().node(&name).expect("worker").is_cordoned() {
-                        orch.uncordon_node(&name, now).expect("worker exists");
-                    } else {
-                        orch.drain_node(&name, now).expect("worker exists");
-                    }
-                }
-                Ev::ToggleFailure(n) => {
-                    let names = workers(&orch);
-                    let name = names[n as usize % names.len()].clone();
-                    if orch.cluster().node(&name).expect("worker").is_cordoned() {
-                        orch.recover_node(&name, now).expect("worker exists");
-                    } else {
-                        orch.fail_node(&name, now).expect("worker exists");
-                    }
-                }
-                Ev::AddNode(flag) => {
-                    let spec = if flag % 2 == 1 {
-                        cluster::machine::MachineSpec::sgx_node()
-                    } else {
-                        cluster::machine::MachineSpec::dell_r330()
-                    };
-                    // Every fourth add reuses a previously retired name
-                    // (if any), exercising the name-reuse teardown path.
-                    let name = if flag >= 6 && next_node > 0 {
-                        format!("dyn-{}", (u32::from(flag) * 7) % next_node)
-                    } else {
-                        let name = format!("dyn-{next_node}");
-                        next_node += 1;
-                        name
-                    };
-                    // Reused names may still be registered: that's the
-                    // documented duplicate error, not a test failure.
-                    let _ = orch.add_node(name, spec, now);
-                }
-                Ev::RemoveNode(n) => {
-                    let names = workers(&orch);
-                    if names.len() > 1 {
-                        let name = names[n as usize % names.len()].clone();
-                        orch.remove_node(&name, now).expect("worker exists");
-                    }
-                }
-                Ev::Idle => now += SimDuration::from_secs(30),
-            }
+            apply(&mut orch, event, index + 16, &mut now, &mut next_node);
             let incremental = orch.capture_snapshot(now);
             let full = oracle(&orch, now);
             prop_assert_eq!(

@@ -64,14 +64,12 @@ pub mod query;
 pub mod wire;
 
 mod batch;
-mod cache;
 mod error;
 mod point;
 mod sharded;
 mod storage;
 
 pub use batch::{BatchRow, PointBatch};
-pub use cache::{CacheStats, WindowedCache};
 pub use error::TsdbError;
 pub use point::{Point, TagSet};
 pub use query::{Aggregate, Predicate, Row, Select, Source, TimeBound};

@@ -316,8 +316,8 @@ impl Select {
 
     /// Reference executor: materialises every sample of the source
     /// measurement and filters after the fact, exactly as the original
-    /// engine did. Kept as the oracle the incremental paths are verified
-    /// against (see the `windowed_cache_props` property tests) and as the
+    /// engine did. Kept as the oracle the streaming executor is verified
+    /// against (the `streaming_scan_props` property tests) and as the
     /// baseline of the `tsdb_ops` benchmark.
     pub(crate) fn execute_full_scan<'a, F>(&self, fetch: &F, now: SimTime) -> Vec<Row>
     where
@@ -405,8 +405,7 @@ pub(crate) fn project_tags(tags: &TagSet, keys: &[String]) -> TagSet {
 }
 
 /// Applies a select to already-aggregated rows treated as observations at
-/// `now` — the outer half of a nested query. Shared by the streaming
-/// executor and the windowed cache so both produce identical results.
+/// `now` — the outer half of a nested query.
 pub(crate) fn aggregate_rows(select: &Select, inputs: &[Row], now: SimTime) -> Vec<Row> {
     let (lo, hi) = scan_bounds(&select.predicates, now);
     let mut groups: BTreeMap<TagSet, AggState> = BTreeMap::new();

@@ -49,9 +49,6 @@
 //!   executors see the exact sample stream the unsharded store feeds
 //!   them and every floating-point operation happens in the same
 //!   sequence.
-//! * Series ids stay unique across shards without coordination: shard
-//!   `i` of `n` draws ids from the arithmetic progression
-//!   `{i + n, i + 2n, ...}` (see [`Database::with_id_stride`]).
 //!
 //! # Non-stalling retention
 //!
@@ -84,14 +81,14 @@
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::{MutexGuard, RwLock};
+use parking_lot::RwLock;
 
 use des::{SimDuration, SimTime};
 
 use crate::batch::PointBatch;
 use crate::point::{Point, TagSet};
 use crate::query::{Row, Select, WindowSource};
-use crate::storage::{retention_cutoff, Database, Series, SeriesData, SeriesRef, SeriesStore};
+use crate::storage::{retention_cutoff, Database, Series, SeriesRef, SeriesStore};
 
 /// A [`Database`] split into hash-routed shards whose registry locks are
 /// only taken exclusively to create series, with per-series locks on the
@@ -118,14 +115,12 @@ pub struct ShardedDatabase {
 
 impl ShardedDatabase {
     /// Creates an empty database with `shards` shards (clamped to at
-    /// least 1). With one shard the layout — ids included — is exactly a
-    /// single [`Database`].
+    /// least 1). With one shard the layout is exactly a single
+    /// [`Database`].
     pub fn new(shards: usize) -> Self {
         let n = shards.max(1);
         ShardedDatabase {
-            shards: (0..n)
-                .map(|i| RwLock::new(Database::with_id_stride(i as u64, n as u64)))
-                .collect(),
+            shards: (0..n).map(|_| RwLock::new(Database::new())).collect(),
             points_inserted: AtomicU64::new(0),
             points_evicted: AtomicU64::new(0),
             out_of_order_inserts: AtomicU64::new(0),
@@ -555,23 +550,6 @@ impl SeriesStore for ShardedDatabase {
         ShardedDatabase::query(self, select, now)
     }
 
-    fn out_of_order_inserts(&self) -> u64 {
-        ShardedDatabase::out_of_order_inserts(self)
-    }
-
-    fn for_each_series(&self, measurement: &str, visit: &mut dyn FnMut(SeriesRef<'_>)) {
-        let guards = self.read_all();
-        for (tags, series) in sorted_series(&guards, measurement) {
-            let data: MutexGuard<'_, SeriesData> = series.read();
-            visit(SeriesRef {
-                tags,
-                id: series.id(),
-                evicted: data.evicted,
-                samples: &data.samples,
-            });
-        }
-    }
-
     fn for_each_series_with_first_tag(
         &self,
         measurement: &str,
@@ -589,20 +567,11 @@ impl SeriesStore for ShardedDatabase {
         }
         series.sort_unstable_by(|a, b| a.0.cmp(b.0));
         for (tags, series) in series {
-            let data = series.read();
             visit(SeriesRef {
                 tags,
-                id: series.id(),
-                evicted: data.evicted,
-                samples: &data.samples,
+                samples: &series.read().samples,
             });
         }
-    }
-
-    fn contains_series(&self, measurement: &str, tags: &TagSet) -> bool {
-        self.shards[self.shard_of(measurement, tags)]
-            .read()
-            .contains_series(measurement, tags)
     }
 }
 

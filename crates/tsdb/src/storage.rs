@@ -11,82 +11,42 @@ use crate::point::{Point, TagSet};
 use crate::query::{Row, Select, WindowSource};
 
 /// A borrowed view of one stored series, handed to [`SeriesStore`]
-/// visitors. Exposes exactly the state the incremental
-/// [`WindowedCache`](crate::WindowedCache) keys its ingestion cursors on,
-/// without leaking the storage representation.
+/// visitors without leaking the storage representation.
 #[derive(Debug, Clone, Copy)]
 pub struct SeriesRef<'a> {
     /// The series' full tag set.
     pub tags: &'a TagSet,
-    /// Creation id (unique database-wide, including across shards).
-    pub id: u64,
-    /// Samples ever evicted from the front of the series.
-    pub evicted: u64,
     /// The stored samples, in time order (stable for equal timestamps).
     pub samples: &'a [(SimTime, f64)],
 }
 
-impl SeriesRef<'_> {
-    /// Absolute position one past the last stored sample:
-    /// `evicted + samples.len()`.
-    pub fn absolute_len(&self) -> u64 {
-        self.evicted + self.samples.len() as u64
-    }
-}
-
 /// The read surface shared by [`Database`] and
 /// [`ShardedDatabase`](crate::ShardedDatabase): query execution plus the
-/// ordered series iteration the [`WindowedCache`](crate::WindowedCache)
-/// ingests from. Both implementations feed samples to the executors in
-/// the same total order (series in tag-set order, samples in time order),
-/// so query results are bit-for-bit identical between them.
+/// per-node series scan incremental snapshot refreshes fold. Both
+/// implementations feed samples in the same total order (series in
+/// tag-set order, samples in time order), so results are bit-for-bit
+/// identical between them.
 pub trait SeriesStore {
     /// Executes `select` with `now` as the evaluation instant.
     fn query(&self, select: &Select, now: SimTime) -> Vec<Row>;
-
-    /// Lifetime count of inserts that arrived out of time order. The
-    /// windowed cache watches this stamp and rebuilds when it moves.
-    fn out_of_order_inserts(&self) -> u64;
-
-    /// Visits every series of `measurement` in tag-set order.
-    fn for_each_series(&self, measurement: &str, visit: &mut dyn FnMut(SeriesRef<'_>));
 
     /// Visits, in tag-set order, every series of `measurement` whose
     /// lexicographically *first* tag pair is exactly `(key, value)`.
     ///
     /// Because a [`TagSet`] is an ordered map, all such series are
     /// contiguous in the per-measurement series map, so implementations
-    /// can serve this with a range scan — O(log series + matches) —
-    /// instead of a full iteration. That is what makes per-node snapshot
+    /// serve this with a range scan — O(log series + matches) — instead
+    /// of a full iteration. That is what makes per-node snapshot
     /// refreshes cheap: probe series are tagged `{nodename, pod_name}`
     /// and `"nodename"` sorts first, so one node's series form exactly
     /// one such range.
-    ///
-    /// The default implementation filters [`for_each_series`]
-    /// (correct for any store, O(series)).
-    ///
-    /// [`for_each_series`]: Self::for_each_series
     fn for_each_series_with_first_tag(
         &self,
         measurement: &str,
         key: &str,
         value: &str,
         visit: &mut dyn FnMut(SeriesRef<'_>),
-    ) {
-        self.for_each_series(measurement, &mut |series| {
-            if series
-                .tags
-                .iter()
-                .next()
-                .is_some_and(|(k, v)| k == key && v == value)
-            {
-                visit(series);
-            }
-        });
-    }
-
-    /// `true` while the store holds at least one sample for the series.
-    fn contains_series(&self, measurement: &str, tags: &TagSet) -> bool;
+    );
 }
 
 /// The `[lo, hi)` tag-set range containing exactly the series whose first
@@ -101,18 +61,14 @@ pub(crate) fn first_tag_range(key: &str, value: &str) -> (TagSet, TagSet) {
     (lo, hi)
 }
 
-/// The mutable interior of one series: its time-ordered samples plus the
-/// front-eviction counter. Guarded by the per-series [`Mutex`] in
-/// [`Series`] so appends and trims to *different* series never contend —
-/// the per-series locking the concurrent ingestion hot path relies on.
+/// The mutable interior of one series: its time-ordered samples.
+/// Guarded by the per-series [`Mutex`] in [`Series`] so appends and trims
+/// to *different* series never contend — the per-series locking the
+/// concurrent ingestion hot path relies on.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SeriesData {
     /// Samples sorted by time (stable for equal timestamps).
     pub(crate) samples: Vec<(SimTime, f64)>,
-    /// Samples ever evicted from the front. `evicted + index` is a stable
-    /// *absolute* position that front eviction cannot shift, which is what
-    /// the windowed cache keys its ingestion cursors on.
-    pub(crate) evicted: u64,
 }
 
 impl SeriesData {
@@ -135,9 +91,7 @@ impl SeriesData {
 
     fn evict_before(&mut self, cutoff: SimTime) -> usize {
         let keep_from = self.samples.partition_point(|&(t, _)| t < cutoff);
-        let dropped = self.samples.drain(..keep_from).count();
-        self.evicted += dropped as u64;
-        dropped
+        self.samples.drain(..keep_from).count()
     }
 
     /// The in-window slice `lo <= time < hi`, located with two binary
@@ -162,32 +116,19 @@ impl SeriesData {
 /// never the rest of the shard.
 #[derive(Debug, Default)]
 pub(crate) struct Series {
-    /// The samples and eviction counter, per-series locked.
+    /// The samples, per-series locked.
     data: Mutex<SeriesData>,
-    /// Identity assigned at creation, from a database-wide counter. Lets
-    /// the windowed cache tell a series apart from a later one with the
-    /// same tags (created after retention dropped the original).
-    /// Immutable after creation, so reads take no lock.
-    id: u64,
 }
 
 impl Clone for Series {
     fn clone(&self) -> Self {
         Series {
             data: Mutex::new(self.data.lock().clone()),
-            id: self.id,
         }
     }
 }
 
 impl Series {
-    fn with_id(id: u64) -> Self {
-        Series {
-            id,
-            ..Series::default()
-        }
-    }
-
     /// Appends through a shared reference — the concurrent hot path.
     /// Takes only this series' own lock. Returns `true` when the sample
     /// landed in time order.
@@ -223,10 +164,6 @@ impl Series {
     fn is_empty_mut(&mut self) -> bool {
         self.data.get_mut().samples.is_empty()
     }
-
-    pub(crate) fn id(&self) -> u64 {
-        self.id
-    }
 }
 
 /// The in-memory time-series database.
@@ -260,21 +197,9 @@ pub struct Database {
     /// monotone counters, not synchronisation edges.
     points_inserted: AtomicU64,
     points_evicted: AtomicU64,
-    /// Id handed to each newly created series, advanced by
-    /// `series_seq_step` — 1 for a standalone database; the shard count
-    /// for a shard of a [`ShardedDatabase`](crate::ShardedDatabase), so
-    /// ids stay unique across shards without coordination. Series
-    /// creation always holds exclusive access, so this stays a plain
-    /// integer.
-    series_seq: u64,
-    series_seq_step: u64,
-    /// Bumped whenever an insert lands out of time order; the windowed
-    /// cache watches this stamp and rebuilds when it moves.
+    /// Bumped whenever an insert lands out of time order (spliced into
+    /// the middle of its series instead of appended).
     out_of_order_inserts: AtomicU64,
-    /// Highest retention cutoff ever enforced (µs): no stored sample is
-    /// older than this, and cached window state must discard anything
-    /// older too. Max-merged atomically by the shared-reference trim.
-    eviction_cutoff_us: AtomicU64,
 }
 
 impl Default for Database {
@@ -283,10 +208,7 @@ impl Default for Database {
             measurements: BTreeMap::new(),
             points_inserted: AtomicU64::new(0),
             points_evicted: AtomicU64::new(0),
-            series_seq: 0,
-            series_seq_step: 1,
             out_of_order_inserts: AtomicU64::new(0),
-            eviction_cutoff_us: AtomicU64::new(0),
         }
     }
 }
@@ -297,10 +219,7 @@ impl Clone for Database {
             measurements: self.measurements.clone(),
             points_inserted: AtomicU64::new(self.points_inserted.load(Ordering::Relaxed)),
             points_evicted: AtomicU64::new(self.points_evicted.load(Ordering::Relaxed)),
-            series_seq: self.series_seq,
-            series_seq_step: self.series_seq_step,
             out_of_order_inserts: AtomicU64::new(self.out_of_order_inserts.load(Ordering::Relaxed)),
-            eviction_cutoff_us: AtomicU64::new(self.eviction_cutoff_us.load(Ordering::Relaxed)),
         }
     }
 }
@@ -318,17 +237,6 @@ impl Database {
         Database::default()
     }
 
-    /// A database whose series ids start at `start` and advance by `step`
-    /// — how shards of a [`ShardedDatabase`](crate::ShardedDatabase) keep
-    /// ids disjoint (shard `i` of `n` uses `start = i`, `step = n`).
-    pub(crate) fn with_id_stride(start: u64, step: u64) -> Self {
-        Database {
-            series_seq: start,
-            series_seq_step: step.max(1),
-            ..Database::default()
-        }
-    }
-
     /// Inserts a point.
     pub fn insert(&mut self, point: Point) {
         let (measurement, tags, time, value) = point.into_parts();
@@ -344,17 +252,12 @@ impl Database {
         time: SimTime,
         value: f64,
     ) -> bool {
-        let series_seq = &mut self.series_seq;
-        let step = self.series_seq_step;
         let in_order = self
             .measurements
             .entry(measurement)
             .or_default()
             .entry(tags)
-            .or_insert_with(|| {
-                *series_seq += step;
-                Series::with_id(*series_seq)
-            })
+            .or_default()
             .insert(time, value);
         if !in_order {
             self.out_of_order_inserts.fetch_add(1, Ordering::Relaxed);
@@ -436,10 +339,9 @@ impl Database {
         let in_order = if let Some(series) = series_map.get_mut(tags) {
             series.insert(time, value)
         } else {
-            self.series_seq += self.series_seq_step;
             series_map
                 .entry(tags.clone())
-                .or_insert(Series::with_id(self.series_seq))
+                .or_default()
                 .insert(time, value)
         };
         if !in_order {
@@ -499,8 +401,6 @@ impl Database {
     /// InfluxDB runs continuously.
     pub fn enforce_retention(&mut self, now: SimTime, keep: SimDuration) -> usize {
         let cutoff = retention_cutoff(now, keep);
-        self.eviction_cutoff_us
-            .fetch_max(cutoff.as_micros(), Ordering::Relaxed);
         let mut evicted = 0;
         for series_map in self.measurements.values_mut() {
             for series in series_map.values_mut() {
@@ -524,8 +424,6 @@ impl Database {
     /// Returns the number of samples evicted and whether any series is
     /// now empty (i.e. a sweep is needed at all).
     pub(crate) fn trim_all_series(&self, cutoff: SimTime) -> (usize, bool) {
-        self.eviction_cutoff_us
-            .fetch_max(cutoff.as_micros(), Ordering::Relaxed);
         let mut evicted = 0;
         let mut any_empty = false;
         for series_map in self.measurements.values() {
@@ -559,9 +457,7 @@ impl Database {
     /// This is node deregistration's storage teardown: probe series are
     /// tagged `{nodename, pod_name}` and `"nodename"` sorts first, so one
     /// call with `("nodename", node)` unregisters exactly that node's
-    /// series. A later node reusing the name starts from empty series
-    /// with fresh ids, so windowed-cache cursors keyed on the old ids
-    /// reset rather than resume.
+    /// series, so a later node reusing the name starts from empty series.
     pub fn drop_series_with_first_tag(&mut self, key: &str, value: &str) -> usize {
         let (lo, hi) = first_tag_range(key, value);
         let mut dropped = 0;
@@ -585,12 +481,6 @@ impl Database {
     /// Lifetime count of inserts that arrived out of time order.
     pub fn out_of_order_inserts(&self) -> u64 {
         self.out_of_order_inserts.load(Ordering::Relaxed)
-    }
-
-    /// The highest retention cutoff enforced so far ([`SimTime::ZERO`]
-    /// before the first eviction).
-    pub fn eviction_cutoff(&self) -> SimTime {
-        SimTime::from_micros(self.eviction_cutoff_us.load(Ordering::Relaxed))
     }
 
     /// The series of one measurement, in tag-set order.
@@ -663,24 +553,6 @@ impl SeriesStore for Database {
         Database::query(self, select, now)
     }
 
-    fn out_of_order_inserts(&self) -> u64 {
-        Database::out_of_order_inserts(self)
-    }
-
-    fn for_each_series(&self, measurement: &str, visit: &mut dyn FnMut(SeriesRef<'_>)) {
-        if let Some(series_map) = self.measurements.get(measurement) {
-            for (tags, series) in series_map {
-                let data = series.read();
-                visit(SeriesRef {
-                    tags,
-                    id: series.id(),
-                    evicted: data.evicted,
-                    samples: &data.samples,
-                });
-            }
-        }
-    }
-
     fn for_each_series_with_first_tag(
         &self,
         measurement: &str,
@@ -691,21 +563,12 @@ impl SeriesStore for Database {
         if let Some(series_map) = self.measurements.get(measurement) {
             let (lo, hi) = first_tag_range(key, value);
             for (tags, series) in series_map.range(lo..hi) {
-                let data = series.read();
                 visit(SeriesRef {
                     tags,
-                    id: series.id(),
-                    evicted: data.evicted,
-                    samples: &data.samples,
+                    samples: &series.read().samples,
                 });
             }
         }
-    }
-
-    fn contains_series(&self, measurement: &str, tags: &TagSet) -> bool {
-        self.measurements
-            .get(measurement)
-            .is_some_and(|series_map| series_map.contains_key(tags))
     }
 }
 
@@ -881,27 +744,13 @@ mod tests {
         assert_eq!(visited.len(), 3);
         assert!(visited.iter().all(|t| t["nodename"] == "n1"));
         assert!(visited.windows(2).all(|w| w[0] < w[1]), "tag-set order");
-        // The range scan agrees with the default (filtering) trait impl.
-        struct Slow<'a>(&'a Database);
-        impl SeriesStore for Slow<'_> {
-            fn query(&self, s: &Select, now: SimTime) -> Vec<Row> {
-                self.0.query(s, now)
-            }
-            fn out_of_order_inserts(&self) -> u64 {
-                self.0.out_of_order_inserts()
-            }
-            fn for_each_series(&self, m: &str, visit: &mut dyn FnMut(SeriesRef<'_>)) {
-                self.0.for_each_series(m, visit);
-            }
-            fn contains_series(&self, m: &str, tags: &TagSet) -> bool {
-                self.0.contains_series(m, tags)
-            }
-        }
-        let mut default_impl = Vec::new();
-        Slow(&db).for_each_series_with_first_tag("sgx/epc", "nodename", "n1", &mut |s| {
-            default_impl.push(s.tags.clone());
-        });
-        assert_eq!(visited, default_impl);
+        // The range scan agrees with filtering every series by first tag.
+        let filtered: Vec<TagSet> = db.measurements["sgx/epc"]
+            .keys()
+            .filter(|tags| tags.iter().next() == Some((&"nodename".into(), &"n1".into())))
+            .cloned()
+            .collect();
+        assert_eq!(visited, filtered);
         // Unknown measurement or node: no visits.
         db.for_each_series_with_first_tag("nope", "nodename", "n1", &mut |_| {
             panic!("no series expected")

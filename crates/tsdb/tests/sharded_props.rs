@@ -1,7 +1,7 @@
 //! Property tests: the sharded concurrent store must agree
 //! **bit-for-bit** with the sequential [`Database`] — same snapshot
-//! bytes, same counters, same query rows from every executor (streaming
-//! scan, full scan, windowed cache) — across random insert patterns
+//! bytes, same counters, same query rows from both executors (streaming
+//! scan and full scan) — across random insert patterns
 //! (including out-of-order arrivals), shard counts, retention evictions
 //! and concurrent multi-writer interleavings. Also: the [`PointBatch`]
 //! wire frame round-trips exactly and batched insertion is equivalent to
@@ -11,7 +11,6 @@ use des::{SimDuration, SimTime};
 use proptest::prelude::*;
 use tsdb::{
     wire, Aggregate, Database, Point, PointBatch, Predicate, Select, ShardedDatabase, TimeBound,
-    WindowedCache,
 };
 
 #[derive(Debug, Clone)]
@@ -80,7 +79,6 @@ proptest! {
         let select = listing1(window_secs);
         let mut single = Database::new();
         let sharded = ShardedDatabase::new(shards);
-        let mut cache = WindowedCache::new();
         let mut now = SimTime::from_secs(5);
         for op in &ops {
             match *op {
@@ -108,8 +106,6 @@ proptest! {
             prop_assert_eq!(&sharded.query(&select, now), &reference,
                 "sharded streaming query diverged at now={}", now);
             prop_assert_eq!(&sharded.query_full_scan(&select, now), &reference);
-            prop_assert_eq!(&cache.query(&sharded, &select, now), &reference,
-                "windowed cache over sharded store diverged at now={}", now);
         }
         prop_assert_eq!(sharded.snapshot(), single.snapshot());
     }

@@ -1,5 +1,5 @@
-//! Property tests: the incremental window engine (time-bounded streaming
-//! scan and [`WindowedCache`]) must agree **bit-for-bit** with the naive
+//! Property tests: the time-bounded streaming scan behind
+//! [`Database::query`] must agree **bit-for-bit** with the naive
 //! full-scan reference executor on every query, across random insert
 //! patterns (including out-of-order arrivals), random sliding-window
 //! sizes, every aggregate, several group-bys, and interleaved retention
@@ -7,7 +7,7 @@
 
 use des::{SimDuration, SimTime};
 use proptest::prelude::*;
-use tsdb::{Aggregate, Database, Point, Predicate, Select, TimeBound, WindowedCache};
+use tsdb::{Aggregate, Database, Point, Predicate, Select, TimeBound};
 
 const AGGREGATES: [Aggregate; 6] = [
     Aggregate::Max,
@@ -30,7 +30,7 @@ enum Op {
         value: f64,
     },
     /// Enforce a retention of `keep` seconds — sometimes shorter than the
-    /// query window, forcing the cache to honour the eviction cutoff.
+    /// query window, so evictions cut into it.
     Evict { keep: u64 },
 }
 
@@ -94,7 +94,6 @@ proptest! {
         );
 
         let mut db = Database::new();
-        let mut cache = WindowedCache::new();
         let mut now = SimTime::from_secs(5);
         for op in &ops {
             match *op {
@@ -110,8 +109,6 @@ proptest! {
             let reference = db.query_full_scan(&select, now);
             prop_assert_eq!(&db.query(&select, now), &reference,
                 "streaming scan diverged at now={}", now);
-            prop_assert_eq!(&cache.query(&db, &select, now), &reference,
-                "windowed cache diverged at now={}", now);
         }
     }
 
@@ -131,7 +128,6 @@ proptest! {
             .group_by(["nodename"]);
 
         let mut db = Database::new();
-        let mut cache = WindowedCache::new();
         let mut now = SimTime::from_secs(5);
         for op in &ops {
             match *op {
@@ -146,7 +142,6 @@ proptest! {
             }
             let reference = db.query_full_scan(&per_node, now);
             prop_assert_eq!(&db.query(&per_node, now), &reference);
-            prop_assert_eq!(&cache.query(&db, &per_node, now), &reference);
         }
     }
 }
