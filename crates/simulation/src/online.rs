@@ -1,29 +1,27 @@
 //! Online serving mode: a long-running orchestrator fed at wall-clock
 //! speed.
 //!
-//! The replay engine is batch-shaped — it pulls a finite stream and
-//! runs it to completion in virtual time. This module turns the same
-//! [`TraceFrontend`] trait into a *service*: [`online_channel`] yields
-//! a channel-backed [`OnlineFrontend`] plus an [`OnlineHandle`] any
-//! thread can push submissions through, and [`OnlineServer::serve`]
-//! drives the orchestrator against the wall clock, stamping each
-//! submission with its arrival instant and running the scheduler and
-//! probe loops on their configured periods in between. Sustained
-//! pods-bound/sec (the `bench_online` metric) falls out of the
-//! resulting [`OnlineReport`].
+//! Online serving *is* replay: [`OnlineServer::serve`] runs the same
+//! event loop as [`replay_stream`](crate::replay_stream), over an
+//! orchestrator built the same way. The only difference is where a
+//! submission's instant comes from. A replay reads it from the trace;
+//! online mode stamps it with the wall time elapsed since `serve`
+//! began, as the submission comes off the channel. [`online_channel`]
+//! yields a channel-backed [`OnlineFrontend`] plus an [`OnlineHandle`]
+//! any thread can push submissions through. Sustained pods-bound/sec
+//! (the `bench_online` metric) falls out of the resulting
+//! [`OnlineReport`].
 
-use std::collections::BTreeMap;
 use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::time::Instant;
 
 use borg_trace::frontend::{FrontendHint, TraceFrontend, WorkloadEvent};
 use borg_trace::WorkloadJob;
-use cluster::api::PodUid;
-use des::{EventQueue, SimDuration, SimTime};
+use des::{SimDuration, SimTime};
 use orchestrator::{Orchestrator, PodOutcome};
 
 use crate::config::ReplayConfig;
-use crate::replay::pod_spec_for;
+use crate::replay::{build_orchestrator, run_loop, Clock};
 
 /// Capacity of the submission channel: deep enough that a benchmark
 /// submitter never stalls on the server's scheduling passes, bounded so
@@ -86,16 +84,9 @@ impl TraceFrontend for OnlineFrontend {
     }
 }
 
-/// Internal events of the serving loop — the replay engine's periodic
-/// machinery, minus everything batch-only (failures, drains, chaos).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum ServeEvent {
-    SchedulerTick,
-    ProbeTick,
-    PodFinish(PodUid, u32),
-}
-
 /// What an online session did, plus the wall-clock cost of doing it.
+/// The outcome counts cover the pods a replay's runs cover: submissions
+/// and malicious squatters, never the pod-group autoscaler's replicas.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineReport {
     /// Jobs accepted through the channel.
@@ -131,133 +122,72 @@ impl OnlineReport {
 #[derive(Debug)]
 pub struct OnlineServer {
     orch: Orchestrator,
-    scheduler_period: SimDuration,
-    probe_period: SimDuration,
+    config: ReplayConfig,
 }
 
 impl OnlineServer {
-    /// Builds the cluster and orchestrator from `config`. Online mode
-    /// uses the cluster, orchestrator tunables and limit enforcement;
-    /// batch-only injections (failures, drains, faults, autoscaling)
-    /// are ignored.
+    /// Builds the cluster and orchestrator from `config`, as
+    /// [`replay_stream`](crate::replay_stream) does.
     pub fn new(config: &ReplayConfig) -> Self {
-        let mut orch = Orchestrator::new(config.cluster.clone(), config.orchestrator.clone());
-        orch.set_enforce_limits(config.enforce_limits);
         OnlineServer {
-            orch,
-            scheduler_period: config.orchestrator.scheduler_period,
-            probe_period: config.orchestrator.probe_period,
+            orch: build_orchestrator(config),
+            config: config.clone(),
         }
     }
 
-    /// Serves the frontend until its stream ends, then drains: arrival
-    /// instants come from the wall clock (each submission is stamped
-    /// with the elapsed time since `serve` began), and the scheduler
-    /// and probe loops catch up to every arrival before it is
-    /// submitted. After the last event the remaining work is finished
-    /// at virtual speed. `GroupLoad` events are ignored — online mode
-    /// has no pod-group controller.
-    pub fn serve(mut self, frontend: &mut dyn TraceFrontend) -> OnlineReport {
+    /// Serves the frontend until its stream ends, then drains the
+    /// in-flight work at virtual speed.
+    ///
+    /// This is [`replay_stream`](crate::replay_stream)'s loop. Each
+    /// event's instant is the wall time elapsed since `serve` began,
+    /// read when the event comes off the frontend, and the loop blocks
+    /// on the frontend between arrivals. Queue events due before an
+    /// arrival run first; an arrival tied with a queue event to the
+    /// microsecond runs before it. Every replay feature applies:
+    /// configured failures, drains, chaos, rebalancing, autoscaling,
+    /// the malicious tenant and `GroupLoad` events, with their instants
+    /// read as seconds since `serve` began. `max_sim_time` caps the
+    /// session and leaves the rest of the stream unread. The drain ends
+    /// once the periodic ticks de-arm, as a replay's does.
+    pub fn serve(self, frontend: &mut dyn TraceFrontend) -> OnlineReport {
         let epoch = Instant::now();
-        let mut events: EventQueue<ServeEvent> = EventQueue::with_capacity(1024);
-        events.schedule(SimTime::ZERO, ServeEvent::SchedulerTick);
-        events.schedule(SimTime::ZERO, ServeEvent::ProbeTick);
-        let mut generation: BTreeMap<PodUid, u32> = BTreeMap::new();
-        let mut running = 0usize;
         let mut submitted = 0usize;
-        let mut sim_end = SimTime::ZERO;
-
-        while let Some(event) = frontend.next_event() {
-            // Stamp the arrival and let the periodic machinery catch up
-            // to it first, so a burst of arrivals cannot starve the
-            // scheduling loop.
-            let now = SimTime::ZERO + SimDuration::from_secs_f64(epoch.elapsed().as_secs_f64());
-            self.advance_to(now, &mut events, &mut generation, &mut running);
-            sim_end = now;
-            if let WorkloadEvent::Submit { job, .. } = event {
-                self.orch.submit(pod_spec_for(&job), now);
-                submitted += 1;
+        let end = run_loop(
+            self.orch,
+            frontend,
+            &self.config,
+            Clock::Wall(epoch),
+            |_, _| submitted += 1,
+        );
+        let (mut completed, mut denied, mut unschedulable) = (0, 0, 0);
+        for (_, record) in end.job_records() {
+            match record.outcome {
+                PodOutcome::Completed { .. } => completed += 1,
+                PodOutcome::Denied { .. } => denied += 1,
+                PodOutcome::Unschedulable => unschedulable += 1,
+                PodOutcome::Pending | PodOutcome::Running { .. } => {}
             }
         }
-
-        // The stream ended: finish the in-flight work at virtual speed.
-        while running > 0 || !self.orch.queue().is_empty() {
-            let Some(due) = events.peek_time() else { break };
-            self.advance_to(due, &mut events, &mut generation, &mut running);
-            sim_end = due;
-        }
-
-        let completed = self.count_outcome(|o| matches!(o, PodOutcome::Completed { .. }));
-        let denied = self.count_outcome(|o| matches!(o, PodOutcome::Denied { .. }));
-        let unschedulable = self.count_outcome(|o| *o == PodOutcome::Unschedulable);
         OnlineReport {
             submitted,
-            bound: self.orch.bound_count(),
+            bound: end.orch.bound_count(),
             completed,
             denied,
             unschedulable,
             wall_secs: epoch.elapsed().as_secs_f64(),
-            sim_end,
+            sim_end: end.result.end_time(),
         }
-    }
-
-    /// Processes every internal event due at or before `now`: scheduler
-    /// and probe ticks re-arm on their periods (they never de-arm — the
-    /// server is long-running), pod finishes complete their pods.
-    fn advance_to(
-        &mut self,
-        now: SimTime,
-        events: &mut EventQueue<ServeEvent>,
-        generation: &mut BTreeMap<PodUid, u32>,
-        running: &mut usize,
-    ) {
-        while events.peek_time().is_some_and(|at| at <= now) {
-            let (at, event) = events.pop().expect("peeked");
-            match event {
-                ServeEvent::SchedulerTick => {
-                    for outcome in self.orch.scheduler_pass(at) {
-                        if outcome.report.started() {
-                            *running += 1;
-                            let runtime = outcome
-                                .spec_duration
-                                .mul_f64(outcome.slowdown_at_start.max(1.0));
-                            let gen = *generation.entry(outcome.uid).or_insert(0);
-                            let finish = at + outcome.report.startup_delay + runtime;
-                            events.schedule(finish, ServeEvent::PodFinish(outcome.uid, gen));
-                        }
-                    }
-                    events.schedule(at + self.scheduler_period, ServeEvent::SchedulerTick);
-                }
-                ServeEvent::ProbeTick => {
-                    self.orch.probe_pass(at);
-                    events.schedule(at + self.probe_period, ServeEvent::ProbeTick);
-                }
-                ServeEvent::PodFinish(uid, event_generation) => {
-                    if generation.get(&uid).copied().unwrap_or(0) != event_generation {
-                        continue;
-                    }
-                    *running -= 1;
-                    self.orch
-                        .complete_pod(uid, at)
-                        .expect("finish events only exist for running pods");
-                }
-            }
-        }
-    }
-
-    fn count_outcome(&self, pred: impl Fn(&PodOutcome) -> bool) -> usize {
-        self.orch
-            .records()
-            .iter()
-            .filter(|(_, r)| pred(&r.outcome))
-            .count()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
     use super::*;
-    use borg_trace::{GeneratorConfig, Workload, WorkloadParams};
+    use borg_trace::{GeneratorConfig, JobId, JobKind, Workload, WorkloadParams};
+    use sgx_sim::units::ByteSize;
 
     fn small_jobs(seed: u64) -> Vec<WorkloadJob> {
         let trace = GeneratorConfig::small(seed).generate_sampled(10);
@@ -302,19 +232,132 @@ mod tests {
         assert_eq!(report.bound_per_sec(), 0.0);
     }
 
-    #[test]
-    fn group_load_events_are_ignored_online() {
+    /// Serves `jobs` from a producer thread and returns the report.
+    fn serve_jobs(config: &ReplayConfig, jobs: Vec<WorkloadJob>) -> OnlineReport {
         let (handle, mut frontend) = online_channel();
-        handle
-            .tx
-            .send(WorkloadEvent::GroupLoad {
-                at: SimTime::ZERO,
-                group: "web".to_string(),
-                load: 100.0,
+        let submitter = std::thread::spawn(move || {
+            for job in jobs {
+                assert!(handle.submit(job));
+            }
+        });
+        let report = OnlineServer::new(config).serve(&mut frontend);
+        submitter.join().unwrap();
+        report
+    }
+
+    fn terminal(report: &OnlineReport) -> usize {
+        report.completed + report.denied + report.unschedulable
+    }
+
+    #[test]
+    fn online_mode_honours_replay_only_configuration() {
+        let jobs = small_jobs(31);
+        let expected = jobs.len();
+        let config = ReplayConfig::paper(31)
+            .with_malicious(crate::MaliciousConfig {
+                submit_at_secs: 0,
+                ..crate::MaliciousConfig::squatting(0.5)
             })
-            .unwrap();
-        drop(handle);
-        let report = OnlineServer::new(&ReplayConfig::paper(1)).serve(&mut frontend);
-        assert_eq!(report.submitted, 0);
+            .with_failure(crate::NodeFailure {
+                node: "sgx-1".to_string(),
+                fail_at_secs: 60,
+                down_for: SimDuration::from_secs(600),
+            });
+        let report = serve_jobs(&config, jobs);
+        assert_eq!(report.submitted, expected);
+        // The squatters (one per SGX node) land and reach a terminal
+        // state with every submission.
+        assert_eq!(terminal(&report), expected + 2);
+        // The failure and recovery are queue events: the session runs
+        // at least until the node is back.
+        assert!(report.sim_end >= SimTime::from_secs(660));
+    }
+
+    #[test]
+    fn service_replicas_stay_out_of_the_outcome_counts() {
+        let group = orchestrator::autoscale::PodGroupSpec {
+            name: "svc".to_string(),
+            sgx: true,
+            replica_request: ByteSize::from_mib(24),
+            min_replicas: 1,
+            max_replicas: 4,
+            capacity_per_replica: 100.0,
+            profile: vec![(0, 300.0), (600, 300.0)],
+        };
+        let config = ReplayConfig::paper(32)
+            .without_limits()
+            .with_autoscale(crate::AutoscaleConfig::paper_defaults().with_pod_group(group));
+        let jobs = small_jobs(32);
+        let expected = jobs.len();
+        let report = serve_jobs(&config, jobs);
+        assert_eq!(report.submitted, expected);
+        assert_eq!(terminal(&report), expected);
+        // The pod-group controller ran: its replicas were bound too.
+        assert!(report.bound as usize > expected, "{report:?}");
+    }
+
+    #[test]
+    fn submit_fails_once_the_frontend_is_gone() {
+        let (handle, frontend) = online_channel();
+        drop(frontend);
+        assert!(!handle.submit(small_jobs(1)[0]));
+    }
+
+    /// Tiny standard jobs that all fit the paper cluster at once.
+    fn tiny_jobs(count: usize) -> Vec<WorkloadJob> {
+        (0..count as u64)
+            .map(|id| WorkloadJob {
+                id: JobId::new(id),
+                submit: SimTime::ZERO,
+                duration: SimDuration::from_secs(30),
+                kind: JobKind::Standard,
+                mem_request: ByteSize::from_mib(1),
+                mem_usage: ByteSize::from_mib(1),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn backpressure_holds_an_early_producer_until_serve_reads() {
+        let jobs = tiny_jobs(CHANNEL_DEPTH + 64);
+        let expected = jobs.len();
+        let sent = Arc::new(AtomicUsize::new(0));
+        let (handle, mut frontend) = online_channel();
+        let producer = {
+            let sent = sent.clone();
+            std::thread::spawn(move || {
+                for job in jobs {
+                    assert!(handle.submit(job));
+                    sent.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        };
+        // The channel fills, then the producer blocks on the next send.
+        while sent.load(Ordering::SeqCst) < CHANNEL_DEPTH {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(sent.load(Ordering::SeqCst), CHANNEL_DEPTH);
+        let report = OnlineServer::new(&ReplayConfig::paper(2)).serve(&mut frontend);
+        producer.join().unwrap();
+        assert_eq!(report.submitted, expected);
+        assert_eq!(terminal(&report), expected);
+    }
+
+    #[test]
+    fn a_producer_hanging_up_mid_stream_ends_the_session() {
+        let jobs = small_jobs(33);
+        let accepted = jobs.len() / 2;
+        let (handle, mut frontend) = online_channel();
+        let producer = std::thread::spawn(move || {
+            for job in jobs.into_iter().take(accepted) {
+                assert!(handle.submit(job));
+            }
+            drop(handle);
+        });
+        let report = OnlineServer::new(&ReplayConfig::paper(33)).serve(&mut frontend);
+        producer.join().unwrap();
+        assert_eq!(report.submitted, accepted);
+        assert_eq!(terminal(&report), accepted);
     }
 }

@@ -2,6 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::time::Instant;
 
 use borg_trace::frontend::{MaterializedFrontend, TraceFrontend, WorkloadEvent};
 use borg_trace::{Workload, WorkloadJob};
@@ -299,6 +300,31 @@ pub fn replay(workload: &Workload, config: &ReplayConfig) -> ReplayResult {
 ///
 /// The loop is fully deterministic for a given `(frontend, config)` pair.
 pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) -> ReplayResult {
+    let mut uid_to_job: BTreeMap<PodUid, WorkloadJob> = BTreeMap::new();
+    let end = run_loop(
+        build_orchestrator(config),
+        frontend,
+        config,
+        Clock::Trace,
+        |uid, job| {
+            uid_to_job.insert(uid, job);
+        },
+    );
+    let mut runs = Vec::with_capacity(end.orch.records().len());
+    runs.extend(end.job_records().map(|(uid, record)| JobRun {
+        job: uid_to_job.get(uid).copied(),
+        record: record.clone(),
+        malicious: end.malicious_uids.contains(uid),
+    }));
+    let mut result = end.result;
+    result.runs = runs;
+    result.events = end.orch.events().iter().cloned().collect();
+    result
+}
+
+/// Builds the orchestrator a replay or an online session drives: the
+/// configured cluster and tunables, limit enforcement and cost model.
+pub(crate) fn build_orchestrator(config: &ReplayConfig) -> Orchestrator {
     let mut orch = Orchestrator::new(config.cluster.clone(), config.orchestrator.clone());
     orch.set_enforce_limits(config.enforce_limits);
     if let Some(model) = config.cost_model {
@@ -306,9 +332,123 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
             node.set_cost_model(model);
         }
     }
+    orch
+}
 
+/// Where the event loop reads a frontend event's instant. It is the
+/// only difference between trace replay and online serving.
+#[derive(Clone, Copy)]
+pub(crate) enum Clock {
+    /// The event's trace instant ([`WorkloadEvent::at`]).
+    Trace,
+    /// The wall time elapsed since the given epoch, read when the event
+    /// comes off the frontend.
+    Wall(Instant),
+}
+
+impl Clock {
+    /// Pulls the next frontend event, stamped with its instant.
+    fn pull(self, frontend: &mut dyn TraceFrontend) -> Option<(SimTime, WorkloadEvent)> {
+        let event = frontend.next_event()?;
+        let at = match self {
+            Clock::Trace => event.at(),
+            Clock::Wall(epoch) => {
+                SimTime::ZERO + SimDuration::from_secs_f64(epoch.elapsed().as_secs_f64())
+            }
+        };
+        Some((at, event))
+    }
+}
+
+/// What the event loop leaves behind: the orchestrator and the loop's
+/// own accounting. [`replay_stream`] reads it out as a [`ReplayResult`],
+/// online serving as an [`OnlineReport`](crate::OnlineReport).
+pub(crate) struct LoopEnd {
+    pub(crate) orch: Orchestrator,
+    /// Everything but `runs` and `events`, which only a replay reads.
+    pub(crate) result: ReplayResult,
+    malicious_uids: Vec<PodUid>,
+    /// Service replicas the pod-group controller submitted.
+    group_uids: BTreeSet<PodUid>,
+}
+
+impl LoopEnd {
+    /// Every pod record except the service replicas, which are
+    /// infrastructure, not jobs.
+    pub(crate) fn job_records(&self) -> impl Iterator<Item = (&PodUid, &PodRecord)> {
+        self.orch
+            .records()
+            .iter()
+            .filter(|(uid, _)| !self.group_uids.contains(uid))
+    }
+}
+
+/// Arm state of the periodic loops. A loop de-arms when its tick finds
+/// no work left; whatever brings new work wakes it again.
+struct Timers {
+    rebalance_period: Option<SimDuration>,
+    autoscale_period: Option<SimDuration>,
+    scheduler: bool,
+    probe: bool,
+    rebalance: bool,
+    autoscale: bool,
+}
+
+impl Timers {
+    /// The armed flag of a periodic tick.
+    fn armed(&mut self, tick: &Event) -> &mut bool {
+        match tick {
+            Event::SchedulerTick => &mut self.scheduler,
+            Event::ProbeTick => &mut self.probe,
+            Event::RebalanceTick => &mut self.rebalance,
+            Event::AutoscaleTick => &mut self.autoscale,
+            other => unreachable!("{other:?} is not a periodic tick"),
+        }
+    }
+
+    /// Schedules `tick` at `at` unless its loop is already armed.
+    fn arm(&mut self, events: &mut EventQueue<Event>, at: SimTime, tick: Event) {
+        let armed = self.armed(&tick);
+        if !*armed {
+            *armed = true;
+            events.schedule(at, tick);
+        }
+    }
+
+    /// Wakes the scheduler and probe passes at `now`.
+    fn wake_passes(&mut self, events: &mut EventQueue<Event>, now: SimTime) {
+        self.arm(events, now, Event::SchedulerTick);
+        self.arm(events, now, Event::ProbeTick);
+    }
+
+    /// New work arrived: wakes the passes at `now` and the rebalance and
+    /// autoscale controllers one period later.
+    fn wake(&mut self, events: &mut EventQueue<Event>, now: SimTime) {
+        self.wake_passes(events, now);
+        if let Some(period) = self.rebalance_period {
+            self.arm(events, now + period, Event::RebalanceTick);
+        }
+        if let Some(period) = self.autoscale_period {
+            self.arm(events, now + period, Event::AutoscaleTick);
+        }
+    }
+}
+
+/// The event loop behind both [`replay_stream`] and online serving.
+///
+/// Frontend events are interleaved with the internal queue by the
+/// instant `clock` gives them; the frontend wins ties, which reproduces
+/// the legacy ordering where all pre-scheduled submits carried the
+/// lowest sequence numbers. Each admitted submission is handed to
+/// `on_submit` with its pod uid.
+pub(crate) fn run_loop(
+    mut orch: Orchestrator,
+    frontend: &mut dyn TraceFrontend,
+    config: &ReplayConfig,
+    clock: Clock,
+    mut on_submit: impl FnMut(PodUid, WorkloadJob),
+) -> LoopEnd {
     let scheduler_period = config.orchestrator.scheduler_period;
-    let probe_period = config.orchestrator.probe_period;
     let cap = SimTime::ZERO + config.max_sim_time;
 
     let hint = frontend.hint();
@@ -382,14 +522,21 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
     if let Some(period) = autoscale_period {
         events.schedule(SimTime::ZERO + period, Event::AutoscaleTick);
     }
+    let mut timers = Timers {
+        rebalance_period: config.rebalance.map(|rebalance| rebalance.period),
+        autoscale_period,
+        scheduler: true,
+        probe: true,
+        rebalance: config.rebalance.is_some(),
+        autoscale: autoscale_period.is_some(),
+    };
 
-    let mut uid_to_job: BTreeMap<PodUid, WorkloadJob> = BTreeMap::new();
     let mut generation: BTreeMap<PodUid, u32> = BTreeMap::new();
     // In-flight finish instant per running pod, so a live migration can
     // shift the finish by its transfer delay (downtime → turnaround).
+    // Its length is the number of running pods.
     let mut finish_at: BTreeMap<PodUid, SimTime> = BTreeMap::new();
     let mut malicious_uids: Vec<PodUid> = Vec::new();
-    let mut running = 0usize;
     // The malicious tenant is a queue event, not a frontend event; its
     // own flag keeps the periodic loops armed until it lands.
     let mut malicious_pending = config.malicious.is_some();
@@ -400,14 +547,6 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
     let mut migration_downtime = SimDuration::ZERO;
     let mut timed_out = false;
     let mut end_time = SimTime::ZERO;
-    // The periodic loops de-arm themselves when the cluster drains and
-    // are re-armed by the next submission.
-    let mut sched_armed = true;
-    let mut probe_armed = true;
-    let mut rebalance_armed = config.rebalance.is_some();
-    let mut autoscale_armed = autoscale_period.is_some();
-    // Service replicas the pod-group controller submitted: they are
-    // infrastructure, not trace jobs, and stay out of `runs`.
     let mut group_uids: BTreeSet<PodUid> = BTreeSet::new();
     // Fault injection: a no-op plan never constructs the injector, so
     // the replay is structurally identical to the pre-chaos engine
@@ -419,56 +558,33 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
 
     // One lookahead frontend event: the stream never materialises more
     // than a single job ahead of the simulation clock.
-    let mut next_fe = frontend.next_event();
+    let mut next_fe = clock.pull(frontend);
     let peak_materialized_jobs = usize::from(next_fe.is_some());
 
     loop {
-        // Interleave the frontend with the queue by time. The frontend
-        // wins ties, which reproduces the legacy ordering where all
-        // pre-scheduled submits carried the lowest sequence numbers.
-        let take_fe = match (next_fe.as_ref().map(WorkloadEvent::at), events.peek_time()) {
-            (Some(fe_at), Some(queue_at)) => fe_at <= queue_at,
-            (Some(_), None) => true,
-            (None, _) => false,
+        let (now, take_fe) = match (next_fe.as_ref().map(|&(at, _)| at), events.peek_time()) {
+            (Some(fe_at), Some(queue_at)) if queue_at < fe_at => (queue_at, false),
+            (Some(fe_at), _) => (fe_at, true),
+            (None, Some(queue_at)) => (queue_at, false),
+            (None, None) => break,
         };
+        if now > cap {
+            // The replay is cut off *at* the cap: events past it never
+            // execute, so the makespan reported is the cap itself.
+            end_time = cap;
+            timed_out = true;
+            break;
+        }
+        end_time = now;
         if take_fe {
-            let fe = next_fe.take().expect("take_fe implies a lookahead event");
-            let now = fe.at();
-            if now > cap {
-                // The replay is cut off *at* the cap: events past it
-                // never execute, so the makespan reported is the cap.
-                end_time = cap;
-                timed_out = true;
-                break;
-            }
-            end_time = now;
-            match fe {
+            match next_fe.take().expect("take_fe implies a lookahead event").1 {
                 WorkloadEvent::Submit { job, hostile } => {
                     let uid = orch.submit(pod_spec_for(&job), now);
-                    uid_to_job.insert(uid, job);
+                    on_submit(uid, job);
                     if hostile {
                         malicious_uids.push(uid);
                     }
-                    if !sched_armed {
-                        events.schedule(now, Event::SchedulerTick);
-                        sched_armed = true;
-                    }
-                    if !probe_armed {
-                        events.schedule(now, Event::ProbeTick);
-                        probe_armed = true;
-                    }
-                    if let Some(rebalance) = config.rebalance {
-                        if !rebalance_armed {
-                            events.schedule(now + rebalance.period, Event::RebalanceTick);
-                            rebalance_armed = true;
-                        }
-                    }
-                    if let Some(period) = autoscale_period {
-                        if !autoscale_armed {
-                            events.schedule(now + period, Event::AutoscaleTick);
-                            autoscale_armed = true;
-                        }
-                    }
+                    timers.wake(&mut events, now);
                 }
                 WorkloadEvent::GroupLoad { group, load, .. } => {
                     let groups = groups_as
@@ -480,27 +596,16 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
                     );
                     // A load change must wake the controller even after
                     // it de-armed itself in a lull.
-                    if !autoscale_armed {
-                        events.schedule(now, Event::AutoscaleTick);
-                        autoscale_armed = true;
-                    }
+                    timers.arm(&mut events, now, Event::AutoscaleTick);
                 }
             }
-            next_fe = frontend.next_event();
+            next_fe = clock.pull(frontend);
             continue;
         }
-        let Some((now, event)) = events.pop() else {
-            break;
-        };
-        if now > cap {
-            // The replay is cut off *at* the cap: events past it never
-            // execute, so the makespan reported is the cap itself.
-            end_time = cap;
-            timed_out = true;
-            break;
-        }
-        end_time = now;
-        match event {
+        let (_, event) = events.pop().expect("peeked");
+        // A periodic tick hands back itself and its period; it re-arms
+        // below while work remains or its own `keep_alive` reason holds.
+        let rearm = match event {
             Event::SubmitMalicious => {
                 malicious_pending = false;
                 let mal = config.malicious.expect("event only scheduled when set");
@@ -519,12 +624,12 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
                     let uid = orch.submit(spec, now);
                     malicious_uids.push(uid);
                 }
+                None
             }
             Event::SchedulerTick => {
                 let outcomes = orch.scheduler_pass(now);
                 for outcome in outcomes {
                     if outcome.report.started() {
-                        running += 1;
                         let runtime = outcome
                             .spec_duration
                             .mul_f64(outcome.slowdown_at_start.max(1.0));
@@ -537,12 +642,7 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
                 pending_epc_series.record(now, orch.queue().epc_requested().as_mib_f64());
                 pending_memory_series.record(now, orch.queue().memory_requested().as_mib_f64());
                 epc_imbalance_series.record(now, orch.epc_imbalance());
-                if next_fe.is_some() || malicious_pending || running > 0 || !orch.queue().is_empty()
-                {
-                    events.schedule(now + scheduler_period, Event::SchedulerTick);
-                } else {
-                    sched_armed = false;
-                }
+                Some((Event::SchedulerTick, scheduler_period, false))
             }
             Event::ProbeTick => {
                 match injector.as_mut() {
@@ -554,50 +654,36 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
                         // coinciding scheduler ticks), delayed ones go
                         // through the in-flight table.
                         for (node, batch) in orch.scrape_frames(now) {
-                            match chaos.judge_frame(node.as_str(), now) {
-                                FrameFate::Silenced | FrameFate::Dropped => {}
-                                FrameFate::Deliver => {
-                                    let frame = InFlightFrame {
-                                        node,
-                                        bytes: tsdb::wire::encode_batch(&batch),
-                                        scraped_at: now,
-                                        attempts: 0,
-                                    };
-                                    deliver_frame(
-                                        &mut orch,
-                                        chaos,
-                                        &mut events,
-                                        &mut in_flight,
-                                        &mut next_frame_id,
-                                        frame,
-                                        now,
-                                    );
-                                }
-                                FrameFate::Delayed(delay) => {
-                                    let id = next_frame_id;
-                                    next_frame_id += 1;
-                                    in_flight.insert(
-                                        id,
-                                        InFlightFrame {
-                                            node,
-                                            bytes: tsdb::wire::encode_batch(&batch),
-                                            scraped_at: now,
-                                            attempts: 0,
-                                        },
-                                    );
-                                    events.schedule(now + delay, Event::FrameDelivery(id));
-                                }
+                            let fate = chaos.judge_frame(node.as_str(), now);
+                            if matches!(fate, FrameFate::Silenced | FrameFate::Dropped) {
+                                continue;
+                            }
+                            let frame = InFlightFrame {
+                                node,
+                                bytes: tsdb::wire::encode_batch(&batch),
+                                scraped_at: now,
+                                attempts: 0,
+                            };
+                            if let FrameFate::Delayed(delay) = fate {
+                                in_flight.insert(next_frame_id, frame);
+                                events.schedule(now + delay, Event::FrameDelivery(next_frame_id));
+                                next_frame_id += 1;
+                            } else {
+                                deliver_frame(
+                                    &mut orch,
+                                    chaos,
+                                    &mut events,
+                                    &mut in_flight,
+                                    &mut next_frame_id,
+                                    frame,
+                                    now,
+                                );
                             }
                         }
                         orch.enforce_metrics_retention(now);
                     }
                 }
-                if next_fe.is_some() || malicious_pending || running > 0 || !orch.queue().is_empty()
-                {
-                    events.schedule(now + probe_period, Event::ProbeTick);
-                } else {
-                    probe_armed = false;
-                }
+                Some((Event::ProbeTick, config.orchestrator.probe_period, false))
             }
             Event::FrameDelivery(id) => {
                 let frame = in_flight
@@ -615,15 +701,16 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
                     frame,
                     now,
                 );
+                None
             }
             Event::PodFinish(uid, event_generation) => {
                 if generation.get(&uid).copied().unwrap_or(0) != event_generation {
                     continue; // stale: the pod crashed or migrated since
                 }
-                running -= 1;
                 finish_at.remove(&uid);
                 orch.complete_pod(uid, now)
                     .expect("finish events only exist for running pods");
+                None
             }
             Event::NodeFail(index) => {
                 let failure = &config.failures[index];
@@ -636,34 +723,16 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
                     // the pod as queued again.
                     *generation.entry(uid).or_insert(0) += 1;
                     finish_at.remove(&uid);
-                    running -= 1;
                 }
-                if !sched_armed {
-                    events.schedule(now, Event::SchedulerTick);
-                    sched_armed = true;
-                }
-                if !probe_armed {
-                    events.schedule(now, Event::ProbeTick);
-                    probe_armed = true;
-                }
-                if let Some(rebalance) = config.rebalance {
-                    if !rebalance_armed {
-                        events.schedule(now + rebalance.period, Event::RebalanceTick);
-                        rebalance_armed = true;
-                    }
-                }
-                if let Some(period) = autoscale_period {
-                    if !autoscale_armed {
-                        events.schedule(now + period, Event::AutoscaleTick);
-                        autoscale_armed = true;
-                    }
-                }
+                timers.wake(&mut events, now);
+                None
             }
             Event::NodeRecover(index) => {
                 let failure = &config.failures[index];
                 let node = cluster::api::NodeName::new(failure.node.clone());
                 orch.recover_node(&node, now)
                     .expect("failure injection targets existing nodes");
+                None
             }
             Event::RebalanceTick => {
                 let rebalance = config.rebalance.expect("event only scheduled when set");
@@ -678,12 +747,7 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
                     &mut migration_downtime,
                 );
                 epc_imbalance_series.record(now, orch.epc_imbalance());
-                if next_fe.is_some() || malicious_pending || running > 0 || !orch.queue().is_empty()
-                {
-                    events.schedule(now + rebalance.period, Event::RebalanceTick);
-                } else {
-                    rebalance_armed = false;
-                }
+                Some((Event::RebalanceTick, rebalance.period, false))
             }
             Event::AutoscaleTick => {
                 let period = autoscale_period.expect("event only scheduled when a period exists");
@@ -710,29 +774,18 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
                     );
                     for &uid in &removal.requeued {
                         *generation.entry(uid).or_insert(0) += 1;
-                        if finish_at.remove(&uid).is_some() {
-                            running -= 1;
-                        }
+                        finish_at.remove(&uid);
                     }
                 }
                 for &uid in &outcome.retired {
                     // The pod-group controller completed a surplus
                     // replica; invalidate its backstop finish.
                     *generation.entry(uid).or_insert(0) += 1;
-                    if finish_at.remove(&uid).is_some() {
-                        running -= 1;
-                    }
+                    finish_at.remove(&uid);
                 }
                 if !outcome.submitted.is_empty() {
                     group_uids.extend(outcome.submitted.iter().copied());
-                    if !sched_armed {
-                        events.schedule(now, Event::SchedulerTick);
-                        sched_armed = true;
-                    }
-                    if !probe_armed {
-                        events.schedule(now, Event::ProbeTick);
-                        probe_armed = true;
-                    }
+                    timers.wake_passes(&mut events, now);
                 }
                 if autoscale_audit {
                     let violations = orch.audit_invariants();
@@ -751,16 +804,7 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
                 let groups_live = groups_as
                     .as_ref()
                     .is_some_and(|groups| !groups.is_drained(now));
-                if next_fe.is_some()
-                    || malicious_pending
-                    || running > 0
-                    || !orch.queue().is_empty()
-                    || groups_live
-                {
-                    events.schedule(now + period, Event::AutoscaleTick);
-                } else {
-                    autoscale_armed = false;
-                }
+                Some((Event::AutoscaleTick, period, groups_live))
             }
             Event::DrainNode(index) => {
                 let drain = &config.drains[index];
@@ -778,40 +822,52 @@ pub fn replay_stream(frontend: &mut dyn TraceFrontend, config: &ReplayConfig) ->
                     &mut migration_downtime,
                 );
                 epc_imbalance_series.record(now, orch.epc_imbalance());
+                None
             }
             Event::UncordonNode(index) => {
                 let drain = &config.drains[index];
                 let node = cluster::api::NodeName::new(drain.node.clone());
                 orch.uncordon_node(&node, now)
                     .expect("drain injection targets existing nodes");
+                None
+            }
+        };
+        if let Some((tick, period, keep_alive)) = rearm {
+            let work_remains = next_fe.is_some()
+                || malicious_pending
+                || !finish_at.is_empty()
+                || !orch.queue().is_empty();
+            if keep_alive || work_remains {
+                events.schedule(now + period, tick);
+            } else {
+                *timers.armed(&tick) = false;
             }
         }
     }
 
-    let runs = build_runs(&orch, &uid_to_job, &malicious_uids, &group_uids);
-    let events = orch.events().iter().cloned().collect();
-    let degraded_decisions = orch.degraded_decisions();
-    let fault_stats = injector.map(FaultInjector::into_stats).unwrap_or_default();
-    let elasticity = cluster_as.as_ref().map(|cluster_as| *cluster_as.metrics());
-    let group_peak_replicas = groups_as
-        .as_ref()
-        .map(PodGroupAutoscaler::peak_replicas)
-        .unwrap_or_default();
-    ReplayResult {
-        runs,
-        pending_epc_series,
-        pending_memory_series,
-        epc_imbalance_series,
-        migration_count,
-        migration_downtime,
-        events,
-        end_time,
-        timed_out,
-        fault_stats,
-        degraded_decisions,
-        elasticity,
-        group_peak_replicas,
-        peak_materialized_jobs,
+    LoopEnd {
+        result: ReplayResult {
+            runs: Vec::new(),
+            pending_epc_series,
+            pending_memory_series,
+            epc_imbalance_series,
+            migration_count,
+            migration_downtime,
+            events: Vec::new(),
+            end_time,
+            timed_out,
+            fault_stats: injector.map(FaultInjector::into_stats).unwrap_or_default(),
+            degraded_decisions: orch.degraded_decisions(),
+            elasticity: cluster_as.as_ref().map(|cluster_as| *cluster_as.metrics()),
+            group_peak_replicas: groups_as
+                .as_ref()
+                .map(PodGroupAutoscaler::peak_replicas)
+                .unwrap_or_default(),
+            peak_materialized_jobs,
+        },
+        orch,
+        malicious_uids,
+        group_uids,
     }
 }
 
@@ -884,33 +940,10 @@ fn apply_migrations(
     }
 }
 
-fn build_runs(
-    orch: &Orchestrator,
-    uid_to_job: &BTreeMap<PodUid, WorkloadJob>,
-    malicious_uids: &[PodUid],
-    group_uids: &BTreeSet<PodUid>,
-) -> Vec<JobRun> {
-    let mut runs = Vec::with_capacity(orch.records().len());
-    for (uid, record) in orch.records() {
-        if group_uids.contains(uid) {
-            continue; // service replicas are infrastructure, not jobs
-        }
-        let malicious = malicious_uids.contains(uid);
-        let job = uid_to_job.get(uid).copied();
-        runs.push(JobRun {
-            job,
-            record: record.clone(),
-            malicious,
-        });
-    }
-    runs
-}
-
 /// Turns a workload job into the pod spec the orchestrator sees: SGX
 /// jobs request EPC pages, standard jobs plain memory, and the stressor
-/// reproduces the job's actual allocation behaviour. Shared with the
-/// online serving loop.
-pub(crate) fn pod_spec_for(job: &WorkloadJob) -> PodSpec {
+/// reproduces the job's actual allocation behaviour.
+fn pod_spec_for(job: &WorkloadJob) -> PodSpec {
     let requests = match job.kind {
         borg_trace::JobKind::Sgx => Resources::with_epc(ByteSize::ZERO, job.epc_request()),
         borg_trace::JobKind::Standard => Resources::memory(job.mem_request),

@@ -2,10 +2,11 @@
 //! submissions through the in-process API at wall-clock speed.
 //!
 //! A producer thread pushes a Borg-derived job stream through
-//! [`online_channel`]'s cloneable handle while [`OnlineServer`] stamps
-//! each arrival with its wall-clock instant, runs the scheduler and
-//! probe loops on their configured periods, and drains the in-flight
-//! work at virtual speed once the stream closes.
+//! [`online_channel`]'s cloneable handle into [`OnlineServer`], which
+//! runs the replay event loop with a wall clock: each arrival is stamped
+//! with the wall time since `serve` began, the scheduler and probe loops
+//! run on their configured periods in between, and the in-flight work
+//! drains at virtual speed once the stream closes.
 //!
 //! ```text
 //! cargo run --release -p examples --bin online_serving
